@@ -1,7 +1,6 @@
-"""Morsel-parallel scan + zone-map pruning sweep (standalone bench).
+"""Zone-map pruning on/off sweep over serial scans (standalone bench).
 
-Sweeps worker counts (1/2/4/8) crossed with zone pruning on/off over
-three scan-dominated queries:
+Runs zone pruning off and on over three scan-dominated queries:
 
 * ``q1``  — TPC-H pricing summary (wide grouped aggregation, barely
   selective: the zone tests cannot prune much);
@@ -11,11 +10,12 @@ three scan-dominated queries:
   monotone with insertion order, so block zones partition the key space
   and most blocks are pruned — the best case for zone maps.
 
-Every configuration's result is checked for equality against the serial
-unpruned baseline; a mismatch is a hard failure (exit code 1), timings
-never are.  The full sweep writes ``BENCH_parallel_scan.json`` at the
-repo root; ``--smoke`` runs a reduced matrix (workers 1/4, tiny scale
-factor, no JSON) for CI.
+The pruned result is checked for equality against the unpruned
+baseline; a mismatch is a hard failure (exit code 1), timings never
+are.  Parallel fan-out is measured by ``bench_process_exec.py``: a
+``workers > 1`` request without a process pool runs this same serial
+scan.  The full sweep writes ``BENCH_parallel_scan.json`` at the repo
+root; ``--smoke`` runs a tiny scale factor once, without JSON, for CI.
 
 Run as::
 
@@ -63,7 +63,7 @@ def _prune_counters(manager):
     )
 
 
-def run_sweep(sf, worker_counts, repeat, smoke):
+def run_sweep(sf, repeat):
     from repro.bench.harness import time_callable, write_json_atomic
     from repro.tpch.datagen import generate
     from repro.tpch.loader import load_smc
@@ -88,47 +88,42 @@ def run_sweep(sf, worker_counts, repeat, smoke):
     records = []
     mismatches = 0
     for name, query in queries.items():
-        baseline = query.run(params=params, workers=1, prune=False)
+        baseline = query.run(params=params, prune=False)
         base_rows = _canonical(baseline)
         base_time = None
-        for workers in worker_counts:
-            for prune in (False, True):
-                p0, s0 = _prune_counters(manager)
-                result = query.run(params=params, workers=workers, prune=prune)
-                p1, s1 = _prune_counters(manager)
-                match = _canonical(result) == base_rows
-                if not match:
-                    mismatches += 1
-                    print(
-                        f"RESULT MISMATCH: {name} workers={workers} prune={prune}",
-                        file=sys.stderr,
-                    )
-                seconds = time_callable(
-                    lambda q=query, w=workers, pr=prune: q.run(
-                        params=params, workers=w, prune=pr
-                    ),
-                    repeat=repeat,
-                )
-                if workers == 1 and not prune:
-                    base_time = seconds
-                record = {
-                    "query": name,
-                    "workers": workers,
-                    "prune": prune,
-                    "seconds": round(seconds, 6),
-                    "speedup_vs_serial_unpruned": round(base_time / seconds, 3),
-                    "pruned_blocks": p1 - p0,
-                    "scanned_blocks": s1 - s0,
-                    "matches_baseline": match,
-                }
-                records.append(record)
+        for prune in (False, True):
+            p0, s0 = _prune_counters(manager)
+            result = query.run(params=params, prune=prune)
+            p1, s1 = _prune_counters(manager)
+            match = _canonical(result) == base_rows
+            if not match:
+                mismatches += 1
                 print(
-                    f"  {name:<10} workers={workers} prune={int(prune)} "
-                    f"{seconds * 1000:8.1f} ms  "
-                    f"x{record['speedup_vs_serial_unpruned']:<6} "
-                    f"pruned {record['pruned_blocks']}/{record['pruned_blocks'] + record['scanned_blocks']}",
-                    flush=True,
+                    f"RESULT MISMATCH: {name} prune={prune}", file=sys.stderr
                 )
+            seconds = time_callable(
+                lambda q=query, pr=prune: q.run(params=params, prune=pr),
+                repeat=repeat,
+            )
+            if not prune:
+                base_time = seconds
+            record = {
+                "query": name,
+                "prune": prune,
+                "seconds": round(seconds, 6),
+                "speedup_vs_unpruned": round(base_time / seconds, 3),
+                "pruned_blocks": p1 - p0,
+                "scanned_blocks": s1 - s0,
+                "matches_baseline": match,
+            }
+            records.append(record)
+            print(
+                f"  {name:<10} prune={int(prune)} "
+                f"{seconds * 1000:8.1f} ms  "
+                f"x{record['speedup_vs_unpruned']:<6} "
+                f"pruned {record['pruned_blocks']}/{record['pruned_blocks'] + record['scanned_blocks']}",
+                flush=True,
+            )
     manager.close()
     return records, mismatches
 
@@ -140,13 +135,7 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced matrix for CI: correctness gate only, no JSON output",
-    )
-    parser.add_argument(
-        "--workers",
-        default=None,
-        help="comma-separated worker counts to sweep, or 'auto' for "
-        "1 and os.cpu_count() (honest on single-core hosts)",
+        help="tiny scale factor for CI: correctness gate only, no JSON output",
     )
     parser.add_argument(
         "--out", default=str(REPO_ROOT / "BENCH_parallel_scan.json")
@@ -155,20 +144,12 @@ def main(argv=None):
 
     if args.smoke:
         sf = args.sf or 0.002
-        worker_counts = [1, 4]
         repeat = 1
     else:
         sf = args.sf or float(os.environ.get("REPRO_BENCH_SF", 0.02))
-        worker_counts = [1, 2, 4, 8]
         repeat = args.repeat
-    if args.workers:
-        if args.workers == "auto":
-            ncpu = os.cpu_count() or 1
-            worker_counts = sorted({1, ncpu})
-        else:
-            worker_counts = [int(w) for w in args.workers.split(",")]
 
-    records, mismatches = run_sweep(sf, worker_counts, repeat, args.smoke)
+    records, mismatches = run_sweep(sf, repeat)
 
     if not args.smoke:
         from repro.bench.harness import write_json_atomic
@@ -180,12 +161,9 @@ def main(argv=None):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "note": (
-                "Timings recorded on the available hardware; with a single "
-                "CPU core, morsel parallelism cannot show wall-clock speedup "
-                "(workers serialise on the core and on the GIL) — the "
-                "parallel configurations exist to prove result equality and "
-                "protocol safety.  Zone-map pruning speedups are "
-                "core-count-independent."
+                "Serial scans; zone-map pruning speedups are "
+                "core-count-independent.  Parallel fan-out is measured "
+                "by bench_process_exec.py."
             ),
             "results": records,
         }
@@ -193,9 +171,9 @@ def main(argv=None):
         print(f"wrote {args.out}")
 
     if mismatches:
-        print(f"{mismatches} configuration(s) diverged from baseline", file=sys.stderr)
+        print(f"{mismatches} pruned run(s) diverged from baseline", file=sys.stderr)
         return 1
-    print("all configurations matched the serial unpruned baseline")
+    print("every pruned run matched the unpruned baseline")
     return 0
 
 

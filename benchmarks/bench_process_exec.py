@@ -13,7 +13,7 @@ ten reproduced queries in two phases:
 
 Every configuration's result is checked against the serial baseline and
 the run verifies each sweep actually took the process path (the
-``exec_process_queries`` counter), so a silent thread fallback cannot
+``parallel_scans`` counter), so a silent serial fallback cannot
 masquerade as a passing differential.  A mismatch, a missed process
 route, or a leaked ``/dev/shm/smc_*`` segment is a hard failure (exit
 code 1); timings never are.
@@ -79,10 +79,10 @@ def run_sweep(sf, pool_sizes, repeat):
         )
         # Any workers>1 routes to the attached pool, which stripes over
         # its own process count.
-        before = extra.get("exec_process_queries", 0)
+        before = extra.get("parallel_scans", 0)
         result = query.run(params=DEFAULT_PARAMS, workers=2)
         match = _canonical(result) == base_rows
-        routed = extra.get("exec_process_queries", 0) == before + 1
+        routed = extra.get("parallel_scans", 0) == before + 1
         seconds = time_callable(
             lambda: query.run(params=DEFAULT_PARAMS, workers=2),
             repeat=repeat,
@@ -96,7 +96,7 @@ def run_sweep(sf, pool_sizes, repeat):
         if not routed:
             failures += 1
             print(
-                f"THREAD FALLBACK (expected process path): {name} "
+                f"SERIAL FALLBACK (expected process path): {name} "
                 f"phase={phase} pool={pool_size}",
                 file=sys.stderr,
             )
@@ -150,11 +150,11 @@ def run_sweep(sf, pool_sizes, repeat):
     pool.shutdown()
 
     respawns = manager.stats.extra.get("exec_worker_respawns", 0)
-    dispatched = manager.stats.extra.get("exec_morsels_dispatched", 0)
+    dispatched = manager.stats.extra.get("morsels_dispatched", 0)
     manager.close()
     return records, failures, {
         "exec_worker_respawns": respawns,
-        "exec_morsels_dispatched": dispatched,
+        "morsels_dispatched": dispatched,
     }
 
 

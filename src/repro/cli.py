@@ -167,7 +167,7 @@ def _recover_data_dir(data_dir: str):
 
 
 def _parse_workers(value: str) -> int:
-    """``--workers`` accepts a count or ``auto`` (= ``os.cpu_count()``)."""
+    """``serve --workers``: a count or ``auto`` (= ``os.cpu_count()``)."""
     import os
 
     if value == "auto":
@@ -182,14 +182,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     store = None
     replication = None
-    exec_workers = _parse_workers(args.exec_workers or "0")
-    use_shm = args.shm or exec_workers > 0
-    if use_shm and (args.data_dir or args.replica_of):
+    exec_workers = args.workers
+    if exec_workers and (args.data_dir or args.replica_of):
         # The durable store recovers onto its own heap-backed manager;
         # shared-memory serving is snapshot-only for now.
         print(
-            "--shm/--exec-workers serve a snapshot in memory and cannot "
-            "be combined with --data-dir or --replica-of",
+            "--workers serves a snapshot in memory and cannot be "
+            "combined with --data-dir or --replica-of",
             file=sys.stderr,
         )
         return 2
@@ -283,7 +282,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.snapshot,
             columnar=args.columnar,
             string_dict=not args.no_dict,
-            shm=use_shm,
+            shm=exec_workers > 0,
             memory_budget=args.memory_budget,
         )
         manager = collections["_manager"]
@@ -310,8 +309,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"(max_concurrency={args.max_concurrency}, "
         f"queue_depth={args.queue_depth}, lease_ttl={args.lease_ttl}s"
         + (", churn on" if args.churn else "")
-        + (f", exec_workers={exec_workers}" if exec_workers else "")
-        + (", shm" if use_shm else "")
+        + (f", workers={exec_workers}, shm" if exec_workers else "")
         + (
             f", memory_budget={args.memory_budget}"
             if args.memory_budget
@@ -491,7 +489,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     result = query.run(
         engine=args.engine,
         params=DEFAULT_PARAMS,
-        workers=args.workers,
         prune=not args.no_prune,
         planner=not args.no_planner,
     )
@@ -630,18 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a background mutator against a scratch collection",
     )
     serve.add_argument(
-        "--shm",
-        action="store_true",
-        help="back block buffers with named shared-memory segments "
-        "(/dev/shm), the prerequisite for --exec-workers",
-    )
-    serve.add_argument(
-        "--exec-workers",
+        "--workers",
         metavar="N",
-        default=None,
-        help="route eligible parallel reads through N scan worker "
-        "processes attached to the shared block pool ('auto' = CPU "
-        "count; implies --shm)",
+        type=_parse_workers,
+        default=0,
+        help="fan parallel reads (workers > 1) out over N scan worker "
+        "processes attached to a shared-memory block pool ('auto' = "
+        "CPU count); without it such reads run serially",
     )
     serve.add_argument(
         "--memory-budget",
@@ -709,13 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--columnar", action="store_true")
     query.add_argument("--limit", type=int, default=25)
     query.add_argument("--explain", action="store_true")
-    query.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=1,
-        help="morsel-parallel scan workers (vectorised engines only); "
-        "'auto' uses os.cpu_count()",
-    )
     query.add_argument(
         "--no-prune",
         action="store_true",

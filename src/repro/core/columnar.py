@@ -272,9 +272,6 @@ class ColumnarBlock:
     def valid_slots(self) -> np.ndarray:
         return np.nonzero((self.directory & slotcodec.STATE_MASK) == VALID)[0]
 
-    def valid_mask(self) -> np.ndarray:
-        return (self.directory & slotcodec.STATE_MASK) == VALID
-
     def iter_valid_slots(self) -> Iterator[int]:
         for slot in self.valid_slots():
             yield int(slot)

@@ -5,6 +5,8 @@ A data directory is a self-describing on-disk store::
     MANIFEST                      JSON, atomically replaced (tmp + fsync
                                   + rename + directory fsync)
     checkpoint-<lsn>.smcsnap      SMCSNAP1 snapshot cut at <lsn>
+                                  (``checkpoint-<lsn>.1.smcsnap`` when a
+                                  second checkpoint lands at the same cut)
     wal-<lsn>.log                 the active segment, first LSN <lsn>
 
 The MANIFEST is the commit point: a crash anywhere during a checkpoint
@@ -57,8 +59,11 @@ class DataDir:
     def wal_path(self, start_lsn: int) -> str:
         return os.path.join(self.root, f"wal-{start_lsn:016d}.log")
 
-    def checkpoint_path(self, cut_lsn: int) -> str:
-        return os.path.join(self.root, f"checkpoint-{cut_lsn:016d}.smcsnap")
+    def checkpoint_path(self, cut_lsn: int, alternate: bool = False) -> str:
+        suffix = ".1" if alternate else ""
+        return os.path.join(
+            self.root, f"checkpoint-{cut_lsn:016d}{suffix}.smcsnap"
+        )
 
     def is_initialized(self) -> bool:
         return os.path.exists(self.manifest_path)
@@ -149,7 +154,11 @@ class CheckpointManager:
         Must be called with ``wal.hold()`` held.  Returns
         ``(manifest, new_wal)``; the caller swaps its active log.  On any
         failure before the manifest rename the old manifest/log pair
-        stays fully authoritative.
+        stays fully authoritative.  With no record logged since the last
+        cut, the live manifest already names a checkpoint at this cut
+        and the (empty) active segment: the new snapshot is written
+        beside that checkpoint, never over it, and ``new_wal`` is *wal*
+        itself.
 
         ``translate_entries`` (replication) maps the snapshot's local
         indirection-entry lists into another node's id space before they
@@ -167,6 +176,12 @@ class CheckpointManager:
             if _san.SANITIZER is not None:
                 _san.SANITIZER.event("checkpoint.begin", cut_lsn=cut_lsn)
             final = self.datadir.checkpoint_path(cut_lsn)
+            same_cut = cut_lsn == wal.start_lsn - 1
+            if same_cut and (
+                os.path.basename(final)
+                == self.datadir.read_manifest()["checkpoint"]
+            ):
+                final = self.datadir.checkpoint_path(cut_lsn, alternate=True)
             tmp = final + ".tmp"
             entries: Dict[str, List[int]] = {}
             self.last_rows = save_collections(
@@ -178,10 +193,14 @@ class CheckpointManager:
                 _san.SANITIZER.event("checkpoint.snapshot_rename", path=tmp)
             os.replace(tmp, final)
             fsync_dir(self.datadir.root)
-            new_wal = WriteAheadLog.create(
-                self.datadir.wal_path(cut_lsn + 1),
-                start_lsn=cut_lsn + 1,
-                fsync_policy=wal.fsync_policy,
+            new_wal = (
+                wal
+                if same_cut
+                else WriteAheadLog.create(
+                    self.datadir.wal_path(cut_lsn + 1),
+                    start_lsn=cut_lsn + 1,
+                    fsync_policy=wal.fsync_policy,
+                )
             )
             manifest = {
                 "format": MANIFEST_FORMAT,
@@ -195,7 +214,8 @@ class CheckpointManager:
             self.datadir.write_manifest(manifest)
         finally:
             epochs.exit_critical_section()
-        wal.close()
+        if new_wal is not wal:
+            wal.close()
         self.datadir.sweep_orphans(keep=[final, new_wal.path])
         self.count += 1
         self.last_duration = time.perf_counter() - start

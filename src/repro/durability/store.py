@@ -449,11 +449,12 @@ class DurableStore:
             manifest, new_wal = self._ckpt.checkpoint(
                 old, translate_entries=translate_entries
             )
-            self._closed_records += old.records
-            self._closed_bytes += old.bytes_written
-            self._closed_fsyncs += old.fsyncs
-            self._closed_batches += old.batches
-            self._wal = new_wal
+            if new_wal is not old:
+                self._closed_records += old.records
+                self._closed_bytes += old.bytes_written
+                self._closed_fsyncs += old.fsyncs
+                self._closed_batches += old.batches
+                self._wal = new_wal
             self._sids.clear()
         return manifest
 

@@ -58,7 +58,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import SmcError
 from repro.sanitizer import hooks as _san
@@ -246,11 +246,6 @@ def scan_wal(path: str) -> WalScan:
     return scan
 
 
-def dump_records(path: str) -> Iterator[WalRecord]:
-    """Yield every structurally valid record (``repro log-dump``)."""
-    yield from scan_wal(path).records
-
-
 class WriteAheadLog:
     """Appender over one log segment, with group commit and fsync policy."""
 
@@ -382,10 +377,6 @@ class WriteAheadLog:
     def payload_bytes(self) -> int:
         """Record bytes appended to this segment (excludes the header)."""
         return self._offset - FILE_HEADER_SIZE
-
-    @property
-    def synced_offset(self) -> int:
-        return self._synced_offset
 
     def hold(self):
         """The log's mutation lock (reentrant).

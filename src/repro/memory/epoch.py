@@ -292,13 +292,21 @@ class EpochManager:
 
         Nested enters are permitted (depth-counted); only the outermost
         enter refreshes the thread-local epoch, so a nested section never
-        observes a newer epoch than its enclosing one.
+        observes a newer epoch than its enclosing one.  The outermost
+        enter reads the global epoch and publishes the section under the
+        advance lock: an advance may otherwise pass the thread between
+        the read and the publication (twice, given two advances), and
+        the thread would become visible two epochs behind — outside the
+        "threads are in ``e`` or ``e - 1``" invariant.
         """
         ctx = self._context()
         if ctx.depth == 0:
-            ctx.epoch = self._global_epoch
+            with self._advance_lock:
+                ctx.epoch = self._global_epoch
+                ctx.depth = 1
             if _san.SANITIZER is not None:
                 _san.SANITIZER.event("section.enter", epochs=self, epoch=ctx.epoch)
+            return ctx.epoch
         ctx.depth += 1
         return ctx.epoch
 

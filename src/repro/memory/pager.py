@@ -445,9 +445,6 @@ class Pager:
         with self._lock:
             return self.touch_hits, self.faults
 
-    def over_budget(self) -> bool:
-        return self.hot_bytes() > self.budget
-
     def maintain(self, max_rounds: int = 4) -> None:
         """Operation-boundary upkeep: finish cooling, evict down to budget.
 

@@ -354,9 +354,12 @@ class Query:
         ``"interpreted"`` (the LINQ-to-objects baseline).  ``flavor``
         overrides the compiled backend (e.g. ``"smc-safe"`` to model the
         paper's SMC (C#) series on a collection that defaults to the
-        unsafe backend).  ``workers`` > 1 fans the scan out over the
-        morsel-parallel executor; ``prune=False`` disables block-level
-        zone-map pruning; ``planner=False`` disables cost-based conjunct
+        unsafe backend).  ``workers`` > 1 asks for a parallel scan: it
+        fans out over the process pool attached to the manager
+        (``manager.exec_pool``, e.g. ``serve --workers N``) when there
+        is one and the pool accepts the plan, and runs serially
+        otherwise; ``prune=False`` disables block-level zone-map
+        pruning; ``planner=False`` disables cost-based conjunct
         ordering and access-path choice (all three only affect the
         vectorised SMC backends).  Dynamic parameters may be passed via
         ``params=`` or as keyword arguments.

@@ -137,9 +137,9 @@ def build_scan_plan(
 ) -> Tuple["_ScanPlan", List[Any]]:
     """Lower *query* to a scan plan plus its post-scan operator list.
 
-    The plan is what executors (serial, thread pool, process pool)
-    consume; the post ops (order/limit/having/distinct) always run on
-    the driver after the merge.  ``planner`` toggles cost-based conjunct
+    The plan is what executors (serial scan, process pool) consume;
+    the post ops (order/limit/having/distinct) always run on the driver
+    after the merge.  ``planner`` toggles cost-based conjunct
     splitting/ordering and access-path choice (None = process default);
     with the planner off, predicates run in declaration order — the
     ablation baseline.
@@ -155,8 +155,8 @@ def build_scan_plan(
         if isinstance(op, Where):
             filters.append(op.pred)
         elif isinstance(op, WhereIn):
-            # Subqueries are materialised up front on the driver thread;
-            # each scan worker probes its own _InsetProbe over the shared
+            # Subqueries are materialised up front on the driver; each
+            # scan worker probes its own _InsetProbe over the shared
             # (read-only) subquery result.
             sub = op.subquery.run(engine="compiled", params=params)
             inset_ops.append((op, sub))
@@ -226,30 +226,19 @@ def run_columnar(
             extra.get("index_skipped_blocks", 0) + pruned
         )
     elif nworkers > 1:
-        # Engine choice: a process pool attached to the manager handles
-        # eligible scans (aggregating/projecting terminals); anything it
-        # declines — enumeration, a busy pool, a mid-query mutation, a
-        # worker failure — falls back to the thread executor, which is
-        # always correct.
-        result = None
-        pool = getattr(manager, "exec_pool", None)
-        if pool is not None:
-            from repro.query.procexec import run_process_scan
+        # The process pool attached to the manager fans out eligible
+        # scans; anything it declines (no pool, enumeration, a busy
+        # pool, a mid-query mutation, a worker failure) runs serial.
+        from repro.query import parallel
 
-            result = run_process_scan(plan, pool)
-        extra = manager.stats.extra
-        if result is not None:
-            acc, pruned, scanned = result
-            extra["exec_process_queries"] = (
-                extra.get("exec_process_queries", 0) + 1
+        result = parallel.run_parallel(plan, nworkers)
+        if result is None:
+            extra = manager.stats.extra
+            extra["parallel_serial_fallbacks"] = (
+                extra.get("parallel_serial_fallbacks", 0) + 1
             )
-        else:
-            from repro.query.parallel import run_parallel
-
-            acc, pruned, scanned = run_parallel(plan, nworkers)
-            extra["exec_thread_queries"] = (
-                extra.get("exec_thread_queries", 0) + 1
-            )
+            result = _run_serial(plan)
+        acc, pruned, scanned = result
     else:
         acc, pruned, scanned = _run_serial(plan)
 
@@ -317,10 +306,11 @@ def run_columnar(
 class _ScanPlan:
     """Everything a scan worker needs to process one block.
 
-    Shared (read-only) between the serial path and the parallel morsel
-    workers; the only per-worker state is the ``_InsetProbe`` list (its
-    lazily materialised key sets are not thread-safe) and the partial
-    :class:`_Accumulator` each worker folds blocks into.
+    Shared (read-only) between the serial path and the process pool's
+    morsel workers (which receive it through ``plansnap``); the only
+    per-worker state is the ``_InsetProbe`` list (lazily materialised
+    key sets) and the partial :class:`_Accumulator` each morsel folds
+    blocks into.
     """
 
     __slots__ = (

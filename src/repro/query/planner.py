@@ -24,7 +24,9 @@ every admitted block the same way.  This module closes the loop
   previous executions shrinks the morsel size when pruning leaves few
   admitted blocks per chunk, keeping every worker busy.
 * **Serve-path routing**: tiny estimated scans skip the process pool
-  (`exec_workers`) — fan-out costs more than the scan saves.
+  (``serve --workers``) and run serially — shipping morsels and
+  partials across the process boundary costs more than the scan
+  saves.  Without a pool every scan is serial anyway.
 
 Everything here is *advisory*: ordering never changes results (the
 engines apply every predicate), estimates may be wrong (EXPLAIN prints
@@ -83,12 +85,6 @@ INDEX_SELECTIVITY_LIMIT = 0.02
 # ----------------------------------------------------------------------
 
 _enabled = True
-
-
-def set_enabled(flag: bool) -> None:
-    """Process-wide planner default (per-query ``planner=`` still wins)."""
-    global _enabled
-    _enabled = bool(flag)
 
 
 def enabled() -> bool:
@@ -841,10 +837,6 @@ class _Feedback:
         hint = math.ceil(block_count * max(admit, 1.0 / block_count) / target_units)
         return max(1, hint)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._by_sig.clear()
-
 
 _feedback = _Feedback()
 
@@ -857,10 +849,6 @@ def record_observation(info: Optional[PlanInfo], **kwargs) -> None:
 
 def observation(signature: str) -> Optional[Dict[str, Any]]:
     return _feedback.observation(signature)
-
-
-def clear_feedback() -> None:
-    _feedback.clear()
 
 
 def route_workers(est_rows: Optional[int], workers: int) -> int:

@@ -1,13 +1,13 @@
 """Multi-process scatter-gather execution over shared-memory block pools.
 
-Thread-level morsel parallelism (:mod:`repro.query.parallel`) is bounded
-by the GIL wherever a kernel is not pure NumPy.  This module adds the
-other half of the paper's "scalable query-dominated collections" story: a
-pool of **forked worker processes** that attach the same shared-memory
-block segments (``MemoryManager(shm=True)``), evaluate the compiled scan
-plan locally, and stream partial accumulators back to the parent, which
-folds them in block order so results stay byte-identical to the serial
-scan at any worker count.
+This is the engine's one intra-query parallel substrate (entered through
+:func:`repro.query.parallel.run_parallel`), the executable half of the
+paper's "scalable query-dominated collections" story: a pool of **forked
+worker processes** that attach the same shared-memory block segments
+(``MemoryManager(shm=True)``), evaluate the compiled scan plan locally,
+outside the parent's GIL, and stream partial accumulators back to the
+parent, which folds them in block order so results stay byte-identical
+to the serial scan at any worker count.
 
 Protocol overview (full write-up in ``docs/parallel_execution.md``):
 
@@ -36,24 +36,24 @@ Protocol overview (full write-up in ``docs/parallel_execution.md``):
   allocations, frees, context count, dictionary versions, string-heap
   blocks — is checked at query start (mismatch: respawn the workers,
   cheap via fork) and at query end (mismatch: discard the partials and
-  fall back to the thread executor).  Compaction deliberately does not
+  run the scan serially).  Compaction deliberately does not
   perturb the fingerprint: relocated blocks arrive through the attach
   protocol and the parent's critical section keeps every dispatched
   block mapped, so scans under compaction churn remain exact.
 
-* **Scatter-gather.**  The parent drives the same
-  :class:`~repro.query.parallel.MorselDispatcher` the thread executor
-  uses, prunes with its authoritative zone maps, stripes the admitted
-  block morsels round-robin across workers, and processes compaction
+* **Scatter-gather.**  The parent drives a
+  :class:`~repro.query.parallel.MorselDispatcher`, prunes with its
+  authoritative zone maps, stripes the admitted block morsels
+  round-robin across workers, and processes compaction
   groups itself (group resolution pins pre-states, which is inherently
   parent-side work).  Partials merge in sequence order; units lost to a
   dead worker are re-executed by the parent and counted as
   ``exec_morsels_redispatched``.
 
 Any worker error, death-induced inconsistency or end-fingerprint
-mismatch makes :func:`run_process_scan` return ``None``; the caller
-falls back to the thread executor, so the process path is strictly an
-optimisation and never a correctness risk.
+mismatch makes :meth:`ProcessScanPool.run` return ``None``; the caller
+runs the serial scan, so the process path is strictly an optimisation
+and never a correctness risk.
 """
 
 from __future__ import annotations
@@ -451,7 +451,7 @@ class ProcessScanPool:
         if not getattr(manager.space.buffers, "shared", False):
             raise ValueError(
                 "process executor requires shared-memory buffers; "
-                "create the manager with shm=True (serve --shm)"
+                "create the manager with shm=True (serve --workers)"
             )
         self.manager = manager
         self.workers = max(1, int(workers))
@@ -637,12 +637,18 @@ class ProcessScanPool:
         return sum(1 for rec in self._procs if rec["alive"])
 
     def run(self, plan) -> Optional[tuple]:
-        """Execute *plan* on the pool; ``None`` means "use threads".
+        """Execute *plan* on the pool; ``None`` means "run it serially".
 
-        Single-flight: a second concurrent query falls back to the
-        thread executor instead of queueing behind the pipes.
+        Returns ``(accumulator, pruned_blocks, scanned_blocks)``, the
+        shape of ``columnar_exec._run_serial``.  Single-flight: a second
+        concurrent query is declined instead of queueing behind the
+        pipes.  A plan built against another manager is declined too.
         """
-        if self._closed or plan.terminal is None:
+        if (
+            self._closed
+            or plan.terminal is None
+            or plan.manager is not self.manager
+        ):
             # Enumeration results carry live Refs, which cannot cross a
             # process boundary; only Select/GroupBy scans are eligible.
             return None
@@ -680,8 +686,8 @@ class ProcessScanPool:
         try:
             context = plan.source.context
             workers = [rec for rec in self._procs if rec["alive"]]
-            # Adaptive morsel width (planner feedback), same as the
-            # thread executor; None falls back to the static split.
+            # Adaptive morsel width (planner feedback); None falls back
+            # to the static split.
             morsel_size = getattr(plan, "morsel_hint", None)
             if morsel_size is None:
                 morsel_size = -(
@@ -860,8 +866,8 @@ class ProcessScanPool:
                         local_partials.append((seq, acc))
 
             extra = manager.stats.extra
-            extra["exec_morsels_dispatched"] = (
-                extra.get("exec_morsels_dispatched", 0) + len(units)
+            extra["morsels_dispatched"] = (
+                extra.get("morsels_dispatched", 0) + len(units)
             )
             if redispatched:
                 extra["exec_morsels_redispatched"] = (
@@ -874,7 +880,7 @@ class ProcessScanPool:
 
         if self.fingerprint() != start_fp:
             # Data mutated mid-query: the workers' COW snapshot may have
-            # diverged from the live state; discard and rerun on threads.
+            # diverged from the live state; discard and rerun serially.
             return None
 
         local_partials.sort(key=lambda pair: pair[0])
@@ -899,13 +905,3 @@ class ProcessScanPool:
         else:
             self._handle_death(rec)
 
-
-def run_process_scan(plan, pool: ProcessScanPool) -> Optional[tuple]:
-    """Scatter *plan* over the process pool; ``None`` = thread fallback.
-
-    Return shape matches ``columnar_exec._run_serial``:
-    ``(accumulator, pruned_blocks, scanned_blocks)``.
-    """
-    if pool is None or plan.manager is not pool.manager:
-        return None
-    return pool.run(plan)

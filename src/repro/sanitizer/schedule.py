@@ -119,13 +119,6 @@ class ScheduleController:
             self._gates.setdefault(point, []).append(gate)
         return gate
 
-    def remove_gate(self, gate: Gate) -> None:
-        gate.release()
-        with self._lock:
-            gates = self._gates.get(gate.point, [])
-            if gate in gates:
-                gates.remove(gate)
-
     def release_all(self) -> None:
         """Release every gate (teardown safety net)."""
         with self._lock:

@@ -238,10 +238,6 @@ class ServiceClient:
             "plan_cache": reply["plan_cache"],
         }
 
-    def shutdown_server(self) -> None:
-        protocol.send_message(self._sock, {"op": "shutdown"})
-        protocol.recv_message(self._sock)
-
     def close(self) -> None:
         if self._sock.fileno() < 0:
             return

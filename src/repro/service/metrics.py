@@ -407,11 +407,12 @@ def instrument_exec(registry: MetricsRegistry, pool) -> None:
 
     The gauges are scrape-time reads of the
     :class:`~repro.query.procexec.ProcessScanPool`; the lifetime
-    counters (``smc_exec_morsels_dispatched_total``,
-    ``smc_exec_morsels_redispatched_total``, ``smc_exec_worker_respawns
-    _total`` and the per-query ``smc_exec_process_queries_total`` /
-    ``smc_exec_thread_queries_total`` engine-choice split) already ride
-    ``manager.stats.extra`` through :func:`instrument_manager`.
+    counters (``smc_parallel_scans_total``,
+    ``smc_morsels_dispatched_total``,
+    ``smc_exec_morsels_redispatched_total``,
+    ``smc_exec_worker_respawns_total`` and
+    ``smc_parallel_serial_fallbacks_total`` for declined scans) already
+    ride ``manager.stats.extra`` through :func:`instrument_manager`.
     """
     registry.gauge(
         "smc_exec_workers",

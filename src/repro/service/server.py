@@ -163,8 +163,8 @@ class QueryService:
         #: Process pool for scatter-gather scans when ``exec_workers > 0``
         #: (requires a shared-memory manager).  The pool attaches to the
         #: manager, so the vectorised engine routes any eligible
-        #: multi-worker query through it; ineligible plans fall back to
-        #: the thread pool, visible in the smc_exec_*_queries counters.
+        #: multi-worker query through it; a plan it declines runs
+        #: serially, counted in ``smc_parallel_serial_fallbacks_total``.
         self.exec_pool = None
         if exec_workers:
             from repro.query.procexec import ProcessScanPool

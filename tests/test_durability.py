@@ -25,6 +25,7 @@ from repro.durability import (
     recover,
     scan_wal,
 )
+from repro.durability.checkpoint import DataDir
 from repro.durability.wal import (
     ADD,
     BEGIN,
@@ -223,6 +224,51 @@ class TestStoreRecovery:
         loaded, report = recover(data_dir)
         assert sorted(h.name for h in loaded["persons"]) == ["a", "b", "c"]
         assert report.checkpoint_rows == 2
+        loaded["_manager"].close()
+
+    def test_checkpoint_with_no_record_since_last_cut(self, data_dir):
+        """A checkpoint straight after create, and a closing checkpoint
+        straight after another one, commit and recover exactly."""
+        store, colls, manager = _fresh_store(data_dir)
+        store.checkpoint()  # nothing logged since the bootstrap cut
+        assert store.cut_lsn == 0
+        colls["persons"].add(name="a", age=1)
+        store.checkpoint()
+        store.close(checkpoint=True)  # nothing logged since that cut
+        manager.close()
+
+        manifest = DataDir(data_dir).read_manifest()
+        assert sorted(os.listdir(data_dir)) == sorted(
+            ["MANIFEST", manifest["checkpoint"], manifest["wal"]]
+        )
+        loaded, report = recover(data_dir)
+        assert [h.name for h in loaded["persons"]] == ["a"]
+        assert report.replayed == 0
+        loaded["_manager"].close()
+
+    def test_empty_checkpoint_never_overwrites_the_live_one(self, data_dir):
+        """Crashing an empty checkpoint before its manifest commits leaves
+        the live checkpoint file byte-identical and recoverable."""
+        from repro import sanitizer
+
+        store, colls, manager = _fresh_store(data_dir)
+        colls["persons"].add(name="a", age=1)
+        store.checkpoint()
+        live = DataDir(data_dir).read_manifest()
+        path = os.path.join(data_dir, live["checkpoint"])
+        with open(path, "rb") as fh:
+            before = fh.read()
+        plan = sanitizer.FaultPlan().crash_at("checkpoint.manifest_rename")
+        with sanitizer.enabled(faults=plan):
+            with pytest.raises(InjectedFaultError):
+                store.checkpoint()
+        manager.close()
+
+        assert DataDir(data_dir).read_manifest() == live
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        loaded, __ = recover(data_dir)
+        assert [h.name for h in loaded["persons"]] == ["a"]
         loaded["_manager"].close()
 
     def test_remove_where_is_logged(self, data_dir):

@@ -1,31 +1,27 @@
-"""Morsel-parallel scans and zone-map pruning.
+"""Zone-map pruning, and parallel requests with no process pool attached.
 
 Differential guarantees first: every TPC-H query must produce identical
-results across worker counts and with pruning on/off, on both layouts,
-and while a compaction cycle runs underneath.  Then the zone-map
-lifecycle: lazy build, conservative staleness after frees, invalidation
-on in-place updates, exact rebuild on compaction.
+results with pruning on/off, on both layouts, and a ``workers > 1``
+request on a manager without a process pool must run the serial scan
+(the process-pool path itself is covered by ``test_process_exec.py``).
+Then the zone-map lifecycle: lazy build, conservative staleness after
+frees, invalidation on in-place updates, exact rebuild on compaction.
 
 All tests here are sanitizer-compatible (``pytest --sanitize``).
 """
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core.collection import Collection
 from repro.memory.manager import MemoryManager
-from repro.query.builder import Count, Sum
+from repro.query.builder import Count
 from repro.tpch.loader import load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 from tests.schemas import TPerson
 
 ALL_QUERIES = {**QUERIES, **EXTRA_QUERIES}
-
-#: (workers, prune) configurations differenced against (1, False).
-CONFIGS = [(1, True), (4, False), (4, True)]
 
 
 def _canonical(result):
@@ -42,12 +38,18 @@ def tpch_smc(request, tpch_tiny):
 
 @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
 def test_differential_workers_and_pruning(tpch_smc, name):
-    """Parallel and pruned scans return exactly the serial unpruned rows."""
+    """Pruned scans return exactly the serial unpruned rows, and so does
+    ``workers=4`` with no process pool attached — without a parallel
+    scan being counted."""
+    extra = tpch_smc["_manager"].stats.extra
     query = ALL_QUERIES[name](tpch_smc)
     expected = _canonical(query.run(params=DEFAULT_PARAMS, workers=1, prune=False))
-    for workers, prune in CONFIGS:
-        got = query.run(params=DEFAULT_PARAMS, workers=workers, prune=prune)
-        assert _canonical(got) == expected, (name, workers, prune)
+    got = query.run(params=DEFAULT_PARAMS, workers=1, prune=True)
+    assert _canonical(got) == expected, name
+    scans = extra.get("parallel_scans", 0)
+    got = query.run(params=DEFAULT_PARAMS, workers=4, prune=True)
+    assert _canonical(got) == expected, name
+    assert extra.get("parallel_scans", 0) == scans
 
 
 def _worn_people(n=3000, keep_mod=3):
@@ -59,44 +61,6 @@ def _worn_people(n=3000, keep_mod=3):
         if i % keep_mod:
             people.remove(h)
     return m, people
-
-
-def test_parallel_scan_during_compaction():
-    """Workers racing a compaction cycle still see every survivor once."""
-    m, people = _worn_people()
-    query = (
-        people.query()
-        .where(TPerson.age >= 0)
-        .aggregate(n=Count(), total=Sum(TPerson.age))
-    )
-    expected = _canonical(query.run(workers=1, prune=False))
-
-    results = []
-    errors = []
-    stop = threading.Event()
-
-    def scanner():
-        try:
-            while not stop.is_set():
-                results.append(
-                    _canonical(query.run(workers=4, prune=True))
-                )
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=scanner) for __ in range(2)]
-    for t in threads:
-        t.start()
-    try:
-        for __ in range(3):
-            people.compact(occupancy_threshold=0.9)
-    finally:
-        stop.set()
-        for t in threads:
-            t.join()
-    m.close()
-    assert not errors, errors
-    assert results and all(r == expected for r in results)
 
 
 def _count(result):

@@ -20,7 +20,7 @@ import pytest
 
 from repro.memory.manager import MemoryManager
 from repro.memory.shm import SEGMENT_PREFIX, SharedBuffers
-from repro.query.procexec import ProcessScanPool, run_process_scan
+from repro.query.procexec import ProcessScanPool
 from repro.tpch.loader import load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 
@@ -109,20 +109,23 @@ def test_differential_process_pool(pooled_smc, name):
     manager = pooled_smc["_manager"]
     query = ALL_QUERIES[name](pooled_smc)
     expected = _canonical(query.run(params=DEFAULT_PARAMS, workers=1))
-    before = manager.stats.extra.get("exec_process_queries", 0)
+    before = manager.stats.extra.get("parallel_scans", 0)
     got = query.run(params=DEFAULT_PARAMS, workers=2)
     assert _canonical(got) == expected
-    # The query really took the process path, not the thread fallback.
-    assert manager.stats.extra.get("exec_process_queries", 0) == before + 1
+    # The query really took the process path, not the serial fallback.
+    assert manager.stats.extra.get("parallel_scans", 0) == before + 1
 
 
-def test_enumeration_falls_back_to_threads(pooled_smc):
-    """Plans without a terminal (handle enumeration) stay in-process."""
+def test_enumeration_falls_back_to_serial(pooled_smc):
+    """Plans without a terminal (handle enumeration) run serially."""
     manager = pooled_smc["_manager"]
-    before = manager.stats.extra.get("exec_thread_queries", 0)
+    extra = manager.stats.extra
+    before = extra.get("parallel_serial_fallbacks", 0)
+    scans = extra.get("parallel_scans", 0)
     rows = pooled_smc["region"].query().run(workers=2)
     assert len(list(rows)) == len(pooled_smc["region"])
-    assert manager.stats.extra.get("exec_thread_queries", 0) == before + 1
+    assert extra.get("parallel_serial_fallbacks", 0) == before + 1
+    assert extra.get("parallel_scans", 0) == scans
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +276,7 @@ def test_foreign_plan_is_refused(tpch_tiny):
         plan, __ = build_scan_plan(
             ALL_QUERIES["q6"](b), DEFAULT_PARAMS, prune=False
         )
-        assert run_process_scan(plan, pool) is None
+        assert pool.run(plan) is None
     finally:
         a["_manager"].close()
         b["_manager"].close()

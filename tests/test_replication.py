@@ -416,6 +416,61 @@ class TestFailoverDrills:
             router.close()
             fleet.close()
 
+    def test_promotion_straight_after_replica_checkpoint(self, tmp_path):
+        """Promotion with nothing applied since the replica's aligned
+        checkpoint still cuts the local-id barrier checkpoint."""
+        fleet = _note_fleet(tmp_path, replicas=1)
+        try:
+            with fleet.client() as router:
+                for i in range(10):
+                    router.add("notes", text=f"n-{i}", stars=1)
+            fleet.wait_caught_up()
+            fleet.primary.store.checkpoint()
+            replica = fleet.nodes[1]
+            _wait_until(
+                lambda: replica.replication.local_checkpoints >= 1,
+                what="replica checkpoint alignment",
+            )
+            cut = replica.store.cut_lsn
+            fleet.kill_primary()
+            winner = fleet.failover()
+            assert winner is replica and winner.store.cut_lsn == cut
+
+            # The barrier manifest records the node's own entry ids...
+            store = winner.store
+            notes = store.collections["notes"]
+            manifest = store.datadir.read_manifest()
+            assert sorted(manifest["entries"]["notes"]) == sorted(
+                h.ref.entry for h in notes
+            )
+            # ...so records in local ids replay against it after a crash.
+            entry = next(h.ref.entry for h in notes if h.text == "n-0")
+            store.apply(
+                [
+                    {
+                        "op": "update",
+                        "collection": "notes",
+                        "entry": entry,
+                        "values": {"stars": 5},
+                    },
+                    {
+                        "op": "add",
+                        "collection": "notes",
+                        "values": {"text": "own", "stars": 2},
+                    },
+                ]
+            )
+            expected = _notes(store)
+            data_dir = store.datadir.root
+            winner.kill()
+        finally:
+            fleet.close()
+
+        loaded, __ = recover(data_dir)
+        assert sorted((h.text, h.stars) for h in loaded["notes"]) == expected
+        assert ("n-0", 5) in expected
+        loaded["_manager"].close()
+
     def test_lagging_replica_refuses_promotion(self, tmp_path):
         fleet = _note_fleet(tmp_path, replicas=2)
         try:
