@@ -56,11 +56,7 @@ def _canonical(result):
 
 
 def _prune_counters(manager):
-    extra = manager.stats.extra
-    return (
-        extra.get("zone_pruned_blocks", 0),
-        extra.get("zone_scanned_blocks", 0),
-    )
+    return manager.stats.zone_pruned_blocks, manager.stats.zone_scanned_blocks
 
 
 def run_sweep(sf, repeat):

@@ -70,7 +70,7 @@ def run_sweep(sf, pool_sizes, repeat):
     def run_pool(query, name, phase, pool_size):
         """One differenced, timed configuration through the pool."""
         nonlocal failures
-        extra = manager.stats.extra
+        stats = manager.stats
         baseline = query.run(params=DEFAULT_PARAMS, workers=1)
         base_rows = _canonical(baseline)
         base_time = time_callable(
@@ -79,10 +79,10 @@ def run_sweep(sf, pool_sizes, repeat):
         )
         # Any workers>1 routes to the attached pool, which stripes over
         # its own process count.
-        before = extra.get("parallel_scans", 0)
+        before = stats.parallel_scans
         result = query.run(params=DEFAULT_PARAMS, workers=2)
         match = _canonical(result) == base_rows
-        routed = extra.get("parallel_scans", 0) == before + 1
+        routed = stats.parallel_scans == before + 1
         seconds = time_callable(
             lambda: query.run(params=DEFAULT_PARAMS, workers=2),
             repeat=repeat,
@@ -149,8 +149,8 @@ def run_sweep(sf, pool_sizes, repeat):
     manager.exec_pool = None
     pool.shutdown()
 
-    respawns = manager.stats.extra.get("exec_worker_respawns", 0)
-    dispatched = manager.stats.extra.get("morsels_dispatched", 0)
+    respawns = manager.stats.exec_worker_respawns
+    dispatched = manager.stats.morsels_dispatched
     manager.close()
     return records, failures, {
         "exec_worker_respawns": respawns,

@@ -7,8 +7,8 @@ the loaded pool — then drives three phases:
 * ``budgeted_queries`` — all ten reproduced queries on the budgeted
   manager, each differenced against the unbudgeted baseline.  The pager
   runs ``maintain()`` at every operation boundary and the run asserts
-  ``hot_bytes() <= budget`` there each time; per-query fault counts come
-  from the ``last_scan_tier_faults`` stamp.
+  ``hot_bytes() <= budget`` there each time; per-query fault counts are
+  before/after deltas of the manager's ``tier_faults`` counter.
 * ``churn`` — a third of lineitem is freed and compaction cycles run
   interleaved with eviction (both managers mutate identically); the
   budget ceiling must hold across the churn and answers must stay
@@ -119,9 +119,9 @@ def run_sweep(sf, budget_fraction, repeat):
         base_time = time_callable(
             lambda: base_q.run(params=DEFAULT_PARAMS), repeat=repeat
         )
-        faults_before = pager.faults
+        faults_before = manager.stats.tier_faults
         got = _canonical(tier_q.run(params=DEFAULT_PARAMS))
-        faults = pager.faults - faults_before
+        faults = manager.stats.tier_faults - faults_before
         seconds = time_callable(
             lambda: tier_q.run(params=DEFAULT_PARAMS), repeat=repeat
         )
@@ -183,23 +183,20 @@ def run_sweep(sf, budget_fraction, repeat):
 
     # -- phase 3: fully-pruned scan over a partly-cold pool -------------
     boundary(pager, "pruned/setup")
-    faults_before = pager.faults
+    faults_before = manager.stats.tier_faults
     pruned = (
         tiered["lineitem"]
         .query()
         .where(Lineitem.quantity >= 1_000_000)
         .run()
     )
-    pruned_faults = pager.faults - faults_before
-    stamped = manager.stats.extra.get("last_scan_tier_faults", -1)
-    pruned_ok = (
-        len(pruned.rows) == 0 and pruned_faults == 0 and stamped == 0
-    )
+    pruned_faults = manager.stats.tier_faults - faults_before
+    pruned_ok = len(pruned.rows) == 0 and pruned_faults == 0
     if not pruned_ok:
         failures += 1
         print(
             f"PRUNED SCAN TOUCHED COLD BYTES: rows={len(pruned.rows)} "
-            f"faults={pruned_faults} stamped={stamped}",
+            f"faults={pruned_faults}",
             file=sys.stderr,
         )
     print(

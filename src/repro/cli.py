@@ -104,14 +104,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(line)
     print()
     print(manager.describe())
-    # Live telemetry through the service metrics registry: the same
-    # instrumentation the metrics endpoint scrapes (epoch, per-context
-    # limbo fraction, block counts, string-dict distinct counts).
-    from repro.service.metrics import MetricsRegistry, instrument_manager
+    # The telemetry snapshot the service's info and metrics ops serve.
+    from repro.service.metrics import expose_snapshot, telemetry_snapshot
 
-    registry = MetricsRegistry()
-    instrument_manager(registry, manager)
-    tel = manager.telemetry()
+    tel = telemetry_snapshot(manager)
     print()
     print(
         f"telemetry: global epoch {tel['global_epoch']}, "
@@ -141,7 +137,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         )
     if args.metrics:
         print()
-        print(registry.expose(), end="")
+        print("\n".join(expose_snapshot(tel)))
     manager.close()
     return 0
 

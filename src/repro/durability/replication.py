@@ -185,7 +185,7 @@ class ReplicationClient:
         self.needs_resync = False
         self.promoted = False
         self.failure: Optional[BaseException] = None
-        # Lifetime counters (the metrics bridge scrapes these).
+        # Lifetime counters (the telemetry snapshot reads these).
         self.applied_records = 0
         self.applied_batches = 0
         self.polls = 0
@@ -457,6 +457,7 @@ class ReplicationClient:
                 "applied_records": self.applied_records,
                 "applied_batches": self.applied_batches,
                 "local_checkpoints": self.local_checkpoints,
+                "promotions": self.promotions,
             }
 
     # -- failover --------------------------------------------------------

@@ -292,7 +292,7 @@ class WriteAheadLog:
         # the sanitizer, whose crash points need every byte on disk.
         self._buffer = bytearray()
         self.buffer_capacity = DEFAULT_BUFFER_CAPACITY
-        # Lifetime counters (the metrics bridge scrapes these).
+        # Lifetime counters (the telemetry snapshot reads these).
         self.records = 0
         self.bytes_written = 0
         self.fsyncs = 0

@@ -13,9 +13,10 @@ compaction algorithm itself lives in ``repro.core.compaction``.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -53,7 +54,11 @@ DEFAULT_MANAGER_BLOCK_SHIFT = 20
 
 @dataclass
 class MemoryStats:
-    """Counters exposed for tests, benchmarks and diagnostics."""
+    """Lifetime counters of the memory manager and the engines over it.
+
+    Each field counts one kind of event and only ever grows; the metrics
+    exposition renders each as ``smc_<field>_total``.
+    """
 
     allocations: int = 0
     frees: int = 0
@@ -67,7 +72,31 @@ class MemoryStats:
     failed_relocations: int = 0
     helped_relocations: int = 0
     bailed_relocations: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
+    #: Vectorised scans (``columnar_exec.run_columnar``).
+    scan_rows: int = 0
+    scan_rows_matched: int = 0
+    scan_blocks: int = 0
+    #: Zone-map pruning: "tests ran, nothing prunable" grows tested
+    #: blocks; "no zone test could be derived" grows untested blocks.
+    zone_tested_blocks: int = 0
+    zone_pruned_blocks: int = 0
+    zone_scanned_blocks: int = 0
+    zone_untested_blocks: int = 0
+    #: Hash-index access-path substitutions and the blocks they skipped.
+    index_lookup_queries: int = 0
+    index_skipped_blocks: int = 0
+    #: Process-pool fan-out (``query.parallel`` / ``query.procexec``).
+    parallel_scans: int = 0
+    parallel_serial_fallbacks: int = 0
+    morsels_dispatched: int = 0
+    exec_morsels_redispatched: int = 0
+    exec_worker_respawns: int = 0
+    #: Pager (``memory.pager``): cold-block faults, demotions, tier-file
+    #: writes, and scan admissions that found the block already hot.
+    tier_faults: int = 0
+    tier_evictions: int = 0
+    tier_spills: int = 0
+    tier_touch_hits: int = 0
 
 
 class MemoryManager:
@@ -451,10 +480,12 @@ class MemoryManager:
     def telemetry(self) -> Dict[str, object]:
         """Structured snapshot of the memory system's state.
 
-        This is the machine-readable twin of :meth:`describe`; the service
-        metrics registry and ``repro info`` both read it, so the shape is
-        part of the observable surface: top-level scalars plus a
-        ``contexts`` list and a ``string_dicts`` map.
+        This is the machine-readable twin of :meth:`describe` and the core
+        of the service's telemetry snapshot
+        (:func:`repro.service.metrics.telemetry_snapshot`), so the shape is
+        part of the observable surface: top-level scalars, a ``contexts``
+        list, a ``string_dicts`` map, the pager's ``tier`` section and the
+        :class:`MemoryStats` ``counters``.
         """
         contexts = []
         residency = (
@@ -484,22 +515,6 @@ class MemoryManager:
             strdict = getattr(coll, "strdict", None)
             if strdict is not None:
                 string_dicts[name] = strdict.live_count
-        stats = self.stats
-        counters = {
-            "allocations": stats.allocations,
-            "frees": stats.frees,
-            "limbo_reuses": stats.limbo_reuses,
-            "blocks_allocated": stats.blocks_allocated,
-            "blocks_recycled": stats.blocks_recycled,
-            "blocks_pooled": stats.blocks_pooled,
-            "epoch_advances": stats.epoch_advances,
-            "compactions": stats.compactions,
-            "relocations": stats.relocations,
-            "failed_relocations": stats.failed_relocations,
-            "helped_relocations": stats.helped_relocations,
-            "bailed_relocations": stats.bailed_relocations,
-        }
-        counters.update(stats.extra)
         tier = self.pager.telemetry() if self.pager is not None else None
         return {
             "tier": tier,
@@ -514,7 +529,7 @@ class MemoryManager:
             "string_heap_bytes": self.strings.bytes_in_use,
             "contexts": contexts,
             "string_dicts": string_dicts,
-            "counters": counters,
+            "counters": dataclasses.asdict(self.stats),
         }
 
     def _ensure_open(self) -> None:

@@ -301,10 +301,6 @@ class Pager:
         self._pid = os.getpid()
         #: Metrics hook: called with each fault's wall-clock seconds.
         self.fault_timer = None
-        self.faults = 0
-        self.evictions = 0
-        self.spills = 0
-        self.touch_hits = 0
 
     # ------------------------------------------------------------------
     # Tracking
@@ -404,7 +400,7 @@ class Pager:
                 self._fault(block, events)
                 faulted = True
             else:
-                self.touch_hits += 1
+                self.manager.stats.tier_touch_hits += 1
                 faulted = False
         self._emit(events)
         return faulted
@@ -442,8 +438,9 @@ class Pager:
 
     def governor_counters(self) -> Tuple[int, int]:
         """(hits, misses) for the governor's miss-growth weighting."""
+        stats = self.manager.stats
         with self._lock:
-            return self.touch_hits, self.faults
+            return stats.tier_touch_hits, stats.tier_faults
 
     def maintain(self, max_rounds: int = 4) -> None:
         """Operation-boundary upkeep: finish cooling, evict down to budget.
@@ -594,7 +591,7 @@ class Pager:
         spilled = False
         if block.tier_offset < 0 or block.tier_dirty:
             block.tier_offset = store.spill(bytes(block.buf), block.tier_offset)
-            self.spills += 1
+            manager.stats.tier_spills += 1
             spilled = True
         cold = store.map_region(block.tier_offset, self.block_size)
         old = block.segment
@@ -608,11 +605,7 @@ class Pager:
         if block in self._cooling:
             self._cooling.remove(block)
         self._cold_count += 1
-        self.evictions += 1
-        extra = manager.stats.extra
-        extra["tier_evictions"] = extra.get("tier_evictions", 0) + 1
-        if spilled:
-            extra["tier_spills"] = extra.get("tier_spills", 0) + 1
+        manager.stats.tier_evictions += 1
         old.release()
         events.append(
             (
@@ -657,9 +650,7 @@ class Pager:
         block.tier_dirty = False  # image in the tier file is still current
         block.cool_epoch = -1
         self._cold_count -= 1
-        self.faults += 1
-        extra = manager.stats.extra
-        extra["tier_faults"] = extra.get("tier_faults", 0) + 1
+        manager.stats.tier_faults += 1
         old.release()
         elapsed = time.perf_counter() - start
         timer = self.fault_timer
@@ -728,6 +719,7 @@ class Pager:
 
     def telemetry(self) -> Dict[str, object]:
         store = self.buffers.store
+        stats = self.manager.stats
         with self._lock:
             cold = self._cold_count
             cooling = len(self._cooling)
@@ -741,10 +733,10 @@ class Pager:
             "cold_bytes": cold * self.block_size,
             "tier_file_bytes": store.file_bytes if store is not None else 0,
             "tier_path": store.path if store is not None else None,
-            "faults": self.faults,
-            "evictions": self.evictions,
-            "spills": self.spills,
-            "touch_hits": self.touch_hits,
+            "faults": stats.tier_faults,
+            "evictions": stats.tier_evictions,
+            "spills": stats.tier_spills,
+            "touch_hits": stats.tier_touch_hits,
         }
 
     def close(self) -> None:

@@ -206,25 +206,16 @@ def run_columnar(
 ) -> Result:
     plan, post = build_scan_plan(query, params, prune=prune, planner=planner)
     manager = plan.manager
+    stats = manager.stats
     zone_tests = plan.zone_tests
-    faults_before = (
-        manager.stats.extra.get("tier_faults", 0)
-        if manager.pager is not None
-        else 0
-    )
 
     nworkers = max(1, int(workers or 1))
     if plan.index_choice is not None:
         # Access-path substitution: the hash index names the candidate
         # rows, only their blocks are touched, every filter re-applies.
         acc, pruned, scanned = _run_index_lookup(plan)
-        extra = manager.stats.extra
-        extra["index_lookup_queries"] = (
-            extra.get("index_lookup_queries", 0) + 1
-        )
-        extra["index_skipped_blocks"] = (
-            extra.get("index_skipped_blocks", 0) + pruned
-        )
+        stats.index_lookup_queries += 1
+        stats.index_skipped_blocks += pruned
     elif nworkers > 1:
         # The process pool attached to the manager fans out eligible
         # scans; anything it declines (no pool, enumeration, a busy
@@ -233,50 +224,21 @@ def run_columnar(
 
         result = parallel.run_parallel(plan, nworkers)
         if result is None:
-            extra = manager.stats.extra
-            extra["parallel_serial_fallbacks"] = (
-                extra.get("parallel_serial_fallbacks", 0) + 1
-            )
+            stats.parallel_serial_fallbacks += 1
             result = _run_serial(plan)
         acc, pruned, scanned = result
     else:
         acc, pruned, scanned = _run_serial(plan)
 
-    extra = manager.stats.extra
-    extra["scan_rows"] = extra.get("scan_rows", 0) + acc.rows_scanned
-    extra["scan_rows_matched"] = (
-        extra.get("scan_rows_matched", 0) + acc.rows_matched
-    )
-    extra["scan_blocks"] = extra.get("scan_blocks", 0) + scanned
-    # Pruning telemetry distinguishes "zone tests ran, nothing prunable"
-    # (tested blocks grow, pruned may stay 0) from "no zone test could
-    # be derived" (untested blocks grow).
+    stats.scan_rows += acc.rows_scanned
+    stats.scan_rows_matched += acc.rows_matched
+    stats.scan_blocks += scanned
     if zone_tests:
-        extra["zone_tested_blocks"] = (
-            extra.get("zone_tested_blocks", 0) + scanned + pruned
-        )
-        extra["zone_pruned_blocks"] = (
-            extra.get("zone_pruned_blocks", 0) + pruned
-        )
-        extra["zone_scanned_blocks"] = (
-            extra.get("zone_scanned_blocks", 0) + scanned
-        )
+        stats.zone_tested_blocks += scanned + pruned
+        stats.zone_pruned_blocks += pruned
+        stats.zone_scanned_blocks += scanned
     else:
-        extra["zone_untested_blocks"] = (
-            extra.get("zone_untested_blocks", 0) + scanned
-        )
-    if manager.pager is not None:
-        # Per-query fault count, so benchmarks can assert a fully-pruned
-        # scan faulted in zero cold blocks.
-        extra["last_scan_tier_faults"] = (
-            extra.get("tier_faults", 0) - faults_before
-        )
-    # Observed per-query selectivity (ppm), for the feedback loop and
-    # the metrics bridge.
-    if acc.rows_scanned:
-        extra["last_scan_selectivity_ppm"] = int(
-            1_000_000 * acc.rows_matched / acc.rows_scanned
-        )
+        stats.zone_untested_blocks += scanned
     if plan.info is not None:
         _planner.record_observation(
             plan.info,

@@ -128,6 +128,5 @@ def run_parallel(plan, workers: int):
         return None
     result = pool.run(plan)
     if result is not None:
-        extra = plan.manager.stats.extra
-        extra["parallel_scans"] = extra.get("parallel_scans", 0) + 1
+        plan.manager.stats.parallel_scans += 1
     return result

@@ -506,15 +506,15 @@ class ProcessScanPool:
             strdict = getattr(coll, "strdict", None)
             if strdict is not None:
                 versions += strdict.version
-        extra = manager.stats.extra
+        stats = manager.stats
         return (
-            manager.stats.allocations,
-            manager.stats.frees,
+            stats.allocations,
+            stats.frees,
             len(manager._contexts),
             versions,
             manager.strings.block_count,
-            extra.get("tier_faults", 0),
-            extra.get("tier_evictions", 0),
+            stats.tier_faults,
+            stats.tier_evictions,
         )
 
     # -- worker lifecycle ----------------------------------------------
@@ -595,10 +595,7 @@ class ProcessScanPool:
         self._stop_workers()
         self._spawn()
         if had_procs:
-            extra = self.manager.stats.extra
-            extra["exec_worker_respawns"] = (
-                extra.get("exec_worker_respawns", 0) + 1
-            )
+            self.manager.stats.exec_worker_respawns += 1
         return True
 
     def _handle_death(self, rec: dict) -> None:
@@ -865,14 +862,8 @@ class ProcessScanPool:
                             plan.process_block(block, probes, acc)
                         local_partials.append((seq, acc))
 
-            extra = manager.stats.extra
-            extra["morsels_dispatched"] = (
-                extra.get("morsels_dispatched", 0) + len(units)
-            )
-            if redispatched:
-                extra["exec_morsels_redispatched"] = (
-                    extra.get("exec_morsels_redispatched", 0) + redispatched
-                )
+            manager.stats.morsels_dispatched += len(units)
+            manager.stats.exec_morsels_redispatched += redispatched
         finally:
             for lease in entered:
                 lease.exit()  # no-op for leases revoked by a death

@@ -5,23 +5,31 @@ Python with a lock per instrument, and exposition renders the standard
 ``# HELP`` / ``# TYPE`` text format so any Prometheus-compatible scraper
 (or a test) can parse it.
 
-Two instrumentation bridges tie the registry to the engine:
-
-* :func:`instrument_manager` registers gauges backed by
-  :meth:`MemoryManager.telemetry` — global epoch, per-context limbo
-  fraction, block counts, string-dict cardinality — plus counter views
-  of the manager's lifetime stats (allocation/compaction rates fall out
-  of scraping those counters over time).
-* :func:`engine_snapshot` folds the query engines' counters (rows
-  scanned, blocks pruned, morsel counts from ``stats.extra``) and the
-  compiled-function cache's hit/miss numbers into the same exposition.
+The service's own instruments (requests, admission, sessions, plan
+cache, governor) are pushed into the registry as they happen.  The
+engine's state is pulled instead, from one place:
+:func:`telemetry_snapshot` builds a single dict — memory-manager
+telemetry with every :class:`~repro.memory.manager.MemoryStats` counter,
+plus the durable store's, the replica's, the process pool's and the
+compiled-function cache's numbers.  The ``info`` op returns that dict;
+:meth:`MetricsRegistry.expose` renders it once per scrape through
+:func:`expose_snapshot`, so both surfaces read the same values.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 #: Default latency buckets (seconds): 0.5 ms .. 10 s, roughly doubling.
 DEFAULT_BUCKETS = (
@@ -250,10 +258,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, object] = {}
-        #: Snapshot providers run at scrape time and contribute extra
-        #: ``name value`` lines (e.g. engine counters read from
-        #: ``stats.extra``); keyed so re-registration replaces.
-        self._snapshots: Dict[str, Callable[[], Dict[str, float]]] = {}
+        #: Scrape-time source of the engine's series: returns a
+        #: :func:`telemetry_snapshot`, rendered once per :meth:`expose`.
+        self.snapshot: Optional[Callable[[], Dict[str, Any]]] = None
 
     def _register(self, metric):
         with self._lock:
@@ -287,12 +294,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._register(Histogram(name, help, buckets))
 
-    def add_snapshot(
-        self, key: str, provider: Callable[[], Dict[str, float]]
-    ) -> None:
-        with self._lock:
-            self._snapshots[key] = provider
-
     def get(self, name: str):
         with self._lock:
             return self._metrics.get(name)
@@ -302,304 +303,204 @@ class MetricsRegistry:
         lines: List[str] = []
         with self._lock:
             metrics = sorted(self._metrics.items())
-            snapshots = list(self._snapshots.items())
         for name, metric in metrics:
             if metric.help:
                 lines.append(f"# HELP {name} {metric.help}")
             lines.append(f"# TYPE {name} {metric.kind}")
             lines.extend(metric.samples())
-        for __, provider in sorted(snapshots):
-            for name, value in sorted(provider().items()):
-                lines.append(f"# TYPE {name} counter")
-                lines.append(f"{name} {_fmt(float(value))}")
+        if self.snapshot is not None:
+            lines.extend(expose_snapshot(self.snapshot()))
         return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
-# Instrumentation bridges
+# The telemetry snapshot
 # ----------------------------------------------------------------------
 
 
-def instrument_manager(registry: MetricsRegistry, manager) -> None:
-    """Register live gauges over *manager*'s telemetry.
+def telemetry_snapshot(
+    manager, store=None, replication=None, pool=None
+) -> Dict[str, Any]:
+    """One structured snapshot of the engine's state and lifetime counters.
 
-    Scrape-time callbacks keep this zero-cost between scrapes; the
-    per-context and per-collection series resize themselves as contexts
-    and collections come and go.
-    """
-    epochs = manager.epochs
-    registry.gauge(
-        "smc_global_epoch",
-        "Global reclamation epoch",
-        callback=lambda: float(epochs.global_epoch),
-    )
-    registry.gauge(
-        "smc_min_active_epoch",
-        "Smallest epoch among in-critical threads and held leases",
-        callback=lambda: float(epochs.min_active_epoch()),
-    )
-    registry.gauge(
-        "smc_epoch_leases",
-        "Registered epoch leases (sessions able to pin the epoch)",
-        callback=lambda: float(epochs.lease_count()),
-    )
-    registry.gauge(
-        "smc_live_blocks",
-        "Live mapped blocks across the address space",
-        callback=lambda: float(manager.space.live_block_count),
-    )
-    registry.gauge(
-        "smc_mapped_bytes",
-        "Bytes mapped by live blocks (data + strings)",
-        callback=lambda: float(manager.total_bytes()),
-    )
-
-    def _context_series(field: str) -> Callable[[], Dict[LabelItems, float]]:
-        def read() -> Dict[LabelItems, float]:
-            tel = manager.telemetry()
-            return {
-                (("context", ctx["name"]),): float(ctx[field])
-                for ctx in tel["contexts"]
-            }
-
-        return read
-
-    limbo = registry.gauge(
-        "smc_context_limbo_fraction", "Limbo slots / capacity per context"
-    )
-    limbo.attach_series(_context_series("limbo_fraction"))
-    blocks = registry.gauge(
-        "smc_context_blocks", "Block count per memory context"
-    )
-    blocks.attach_series(_context_series("blocks"))
-    live = registry.gauge("smc_context_live", "Live objects per context")
-    live.attach_series(_context_series("live"))
-    queue = registry.gauge(
-        "smc_context_reclaim_queue", "Reclamation-queue length per context"
-    )
-    queue.attach_series(_context_series("reclaim_queue"))
-
-    def _dict_series() -> Dict[LabelItems, float]:
-        tel = manager.telemetry()
-        return {
-            (("collection", name),): float(count)
-            for name, count in tel["string_dicts"].items()
-        }
-
-    dicts = registry.gauge(
-        "smc_string_dict_distinct",
-        "Distinct interned strings per collection dictionary",
-    )
-    dicts.attach_series(_dict_series)
-
-    def _manager_counters() -> Dict[str, float]:
-        tel = manager.telemetry()
-        return {
-            f"smc_{name}_total": float(value)
-            for name, value in tel["counters"].items()
-        }
-
-    registry.add_snapshot("manager_counters", _manager_counters)
-
-
-def instrument_exec(registry: MetricsRegistry, pool) -> None:
-    """Export the process executor's worker-pool state (``smc_exec_*``).
-
-    The gauges are scrape-time reads of the
-    :class:`~repro.query.procexec.ProcessScanPool`; the lifetime
-    counters (``smc_parallel_scans_total``,
-    ``smc_morsels_dispatched_total``,
-    ``smc_exec_morsels_redispatched_total``,
-    ``smc_exec_worker_respawns_total`` and
-    ``smc_parallel_serial_fallbacks_total`` for declined scans) already
-    ride ``manager.stats.extra`` through :func:`instrument_manager`.
-    """
-    registry.gauge(
-        "smc_exec_workers",
-        "Scan worker processes configured for the process executor",
-        callback=lambda: float(pool.workers),
-    )
-    registry.gauge(
-        "smc_exec_workers_alive",
-        "Scan worker processes currently forked and responsive",
-        callback=lambda: float(pool.alive_workers()),
-    )
-
-
-def instrument_tiering(registry: MetricsRegistry, pager) -> None:
-    """Export the pager's tiering state (``smc_tier_*``).
-
-    Residency gauges and byte totals are scrape-time reads of the
-    :class:`~repro.memory.pager.Pager`; the lifetime counters
-    (``smc_tier_faults_total``, ``smc_tier_evictions_total``,
-    ``smc_tier_spills_total``) already ride ``manager.stats.extra``
-    through :func:`instrument_manager`.  Fault latency lands in a
-    histogram via the pager's ``fault_timer`` hook.
-    """
-    registry.gauge(
-        "smc_tier_budget_bytes",
-        "Hot-tier byte budget the pager evicts down to",
-        callback=lambda: float(pager.budget),
-    )
-    registry.gauge(
-        "smc_tier_hot_bytes",
-        "Bytes of pool blocks resident in writable hot segments",
-        callback=lambda: float(pager.hot_bytes()),
-    )
-    registry.gauge(
-        "smc_tier_cold_bytes",
-        "Bytes of pool blocks demoted to read-only tier mappings",
-        callback=lambda: float(pager.cold_bytes()),
-    )
-    registry.gauge(
-        "smc_tier_file_bytes",
-        "Size of the tier spill file backing cold blocks",
-        callback=lambda: float(pager.telemetry()["tier_file_bytes"]),
-    )
-
-    def _residency_series() -> Dict[LabelItems, float]:
-        return {
-            (("residency", state),): float(count)
-            for state, count in pager.residency_counts().items()
-        }
-
-    residency = registry.gauge(
-        "smc_tier_blocks", "Pool blocks by residency state"
-    )
-    residency.attach_series(_residency_series)
-
-    def _context_series() -> Dict[LabelItems, float]:
-        manager = pager.manager
-        names = {c.context_id: c.name for c in manager._contexts}
-        out: Dict[LabelItems, float] = {}
-        for ctx_id, entry in pager.residency_by_context().items():
-            name = names.get(ctx_id, str(ctx_id))
-            for state, count in entry.items():
-                out[(("context", name), ("residency", state))] = float(count)
-        return out
-
-    per_context = registry.gauge(
-        "smc_tier_context_blocks",
-        "Pool blocks by residency state per memory context",
-    )
-    per_context.attach_series(_context_series)
-
-    faults = registry.histogram(
-        "smc_tier_fault_seconds",
-        "Wall-clock latency of cold-block faults (promotion to hot)",
-    )
-    pager.fault_timer = faults.observe
-
-
-def instrument_durability(registry: MetricsRegistry, store) -> None:
-    """Export the durable store's WAL/checkpoint/recovery telemetry.
-
-    All series are scrape-time reads of
-    :meth:`~repro.durability.store.DurableStore.stats`, so they follow
-    checkpoint segment rollovers without re-registration.
-    """
-
-    def _stats() -> Dict[str, float]:
-        s = store.stats()
-        return {
-            "smc_wal_bytes_total": float(s["wal_bytes_total"]),
-            "smc_wal_records_total": float(s["wal_records_total"]),
-            "smc_wal_fsyncs_total": float(s["wal_fsyncs_total"]),
-            "smc_wal_batches_total": float(s["wal_batches_total"]),
-            "smc_checkpoints_total": float(s["checkpoints_total"]),
-            "smc_recovery_replayed_total": float(
-                s["recovery_replayed_total"]
-            ),
-        }
-
-    registry.add_snapshot("durability", _stats)
-    registry.gauge(
-        "smc_wal_size_bytes",
-        "Current write-ahead log segment size on disk",
-        callback=lambda: float(store.stats()["wal_size_bytes"]),
-    )
-    registry.gauge(
-        "smc_checkpoint_duration_seconds",
-        "Duration of the most recent checkpoint",
-        callback=lambda: float(store.stats()["checkpoint_last_duration"]),
-    )
-    registry.gauge(
-        "smc_checkpoint_rows",
-        "Rows written by the most recent checkpoint",
-        callback=lambda: float(store.stats()["checkpoint_last_rows"]),
-    )
-
-
-def instrument_replication(registry: MetricsRegistry, replication) -> None:
-    """Export a read replica's streaming state (``smc_repl_*``).
-
-    Watermarks are scrape-time gauges over the
-    :class:`~repro.durability.replication.ReplicationClient`; lifetime
-    counters ride a snapshot provider, like the durability bridge.
-    The primary's ship-side counters live on the service itself
-    (``smc_repl_ship_*``), since a primary has no replication client.
-    """
-    registry.gauge(
-        "smc_repl_applied_lsn",
-        "Last LSN durably applied by this replica",
-        callback=lambda: float(replication.applied_lsn),
-    )
-    registry.gauge(
-        "smc_repl_source_committed_lsn",
-        "Primary committed LSN as of the last successful poll",
-        callback=lambda: float(replication.source_committed_lsn),
-    )
-    registry.gauge(
-        "smc_repl_lag_records",
-        "Records between the primary's committed LSN and ours",
-        callback=lambda: float(replication.lag_records),
-    )
-    registry.gauge(
-        "smc_repl_primary_down",
-        "1 when consecutive polls to the primary keep failing",
-        callback=lambda: float(bool(replication.primary_down)),
-    )
-    registry.gauge(
-        "smc_repl_needs_resync",
-        "1 when the replica fell behind a primary checkpoint",
-        callback=lambda: float(bool(replication.needs_resync)),
-    )
-
-    def _counters() -> Dict[str, float]:
-        return {
-            "smc_repl_apply_records_total": float(
-                replication.applied_records
-            ),
-            "smc_repl_apply_batches_total": float(
-                replication.applied_batches
-            ),
-            "smc_repl_polls_total": float(replication.polls),
-            "smc_repl_reconnects_total": float(replication.reconnects),
-            "smc_repl_resyncs_total": float(replication.resyncs),
-            "smc_repl_local_checkpoints_total": float(
-                replication.local_checkpoints
-            ),
-            "smc_repl_promotions_total": float(replication.promotions),
-        }
-
-    registry.add_snapshot("replication", _counters)
-
-
-def engine_snapshot(registry: MetricsRegistry) -> None:
-    """Contribute the compiled-function cache stats at scrape time.
-
-    The engines' scan counters live in ``manager.stats.extra`` and are
-    already exported by :func:`instrument_manager`; the compiler cache is
-    process-global, so it gets its own snapshot provider.
+    :meth:`MemoryManager.telemetry` (gauges, per-context state, the
+    pager's ``tier`` section and the ``counters`` of
+    :class:`~repro.memory.manager.MemoryStats`) plus, when present,
+    ``store`` (:meth:`DurableStore.stats`), ``replication`` (the replica
+    client's counters and watermarks), ``exec`` (the process pool's
+    worker gauges) and ``compiler_cache``.  The ``info`` op returns it;
+    :func:`expose_snapshot` renders the same dict for ``metrics``.
     """
     from repro.query import compiler
 
-    def _compiler_cache() -> Dict[str, float]:
-        stats = compiler.cache_stats()
-        return {
-            "smc_compiled_cache_hits_total": float(stats["hits"]),
-            "smc_compiled_cache_misses_total": float(stats["misses"]),
-            "smc_compiled_cache_size": float(stats["size"]),
+    snap = manager.telemetry()
+    snap["compiler_cache"] = compiler.cache_stats()
+    if store is not None:
+        snap["store"] = store.stats()
+    if replication is not None:
+        snap["replication"] = replication.status()
+    if pool is not None:
+        snap["exec"] = {
+            "workers": pool.workers,
+            "workers_alive": pool.alive_workers(),
         }
+    return snap
 
-    registry.add_snapshot("compiler_cache", _compiler_cache)
+
+#: Scalar series of a snapshot section: ``(series, kind, key, help)``.
+#: A section absent from the snapshot emits nothing.
+_SECTIONS: Dict[Optional[str], Tuple[Tuple[str, str, str, str], ...]] = {
+    None: (
+        ("smc_global_epoch", "gauge", "global_epoch",
+         "Global reclamation epoch"),
+        ("smc_min_active_epoch", "gauge", "min_active_epoch",
+         "Smallest epoch among in-critical threads and held leases"),
+        ("smc_epoch_leases", "gauge", "leases",
+         "Registered epoch leases (sessions able to pin the epoch)"),
+        ("smc_live_blocks", "gauge", "live_blocks",
+         "Live mapped blocks across the address space"),
+        ("smc_mapped_bytes", "gauge", "mapped_bytes",
+         "Bytes mapped by live blocks (data + strings)"),
+    ),
+    "compiler_cache": (
+        ("smc_compiled_cache_hits_total", "counter", "hits", ""),
+        ("smc_compiled_cache_misses_total", "counter", "misses", ""),
+        ("smc_compiled_cache_size", "counter", "size", ""),
+    ),
+    "tier": (
+        ("smc_tier_budget_bytes", "gauge", "budget_bytes",
+         "Hot-tier byte budget the pager evicts down to"),
+        ("smc_tier_hot_bytes", "gauge", "hot_bytes",
+         "Bytes of pool blocks resident in writable hot segments"),
+        ("smc_tier_cold_bytes", "gauge", "cold_bytes",
+         "Bytes of pool blocks demoted to read-only tier mappings"),
+        ("smc_tier_file_bytes", "gauge", "tier_file_bytes",
+         "Size of the tier spill file backing cold blocks"),
+    ),
+    "exec": (
+        ("smc_exec_workers", "gauge", "workers",
+         "Scan worker processes configured for the process executor"),
+        ("smc_exec_workers_alive", "gauge", "workers_alive",
+         "Scan worker processes currently forked and responsive"),
+    ),
+    "store": (
+        ("smc_wal_bytes_total", "counter", "wal_bytes_total", ""),
+        ("smc_wal_records_total", "counter", "wal_records_total", ""),
+        ("smc_wal_fsyncs_total", "counter", "wal_fsyncs_total", ""),
+        ("smc_wal_batches_total", "counter", "wal_batches_total", ""),
+        ("smc_checkpoints_total", "counter", "checkpoints_total", ""),
+        ("smc_recovery_replayed_total", "counter",
+         "recovery_replayed_total", ""),
+        ("smc_wal_size_bytes", "gauge", "wal_size_bytes",
+         "Current write-ahead log segment size on disk"),
+        ("smc_checkpoint_duration_seconds", "gauge",
+         "checkpoint_last_duration", "Duration of the most recent checkpoint"),
+        ("smc_checkpoint_rows", "gauge", "checkpoint_last_rows",
+         "Rows written by the most recent checkpoint"),
+    ),
+    "replication": (
+        ("smc_repl_applied_lsn", "gauge", "applied_lsn",
+         "Last LSN durably applied by this replica"),
+        ("smc_repl_source_committed_lsn", "gauge", "source_committed_lsn",
+         "Primary committed LSN as of the last successful poll"),
+        ("smc_repl_lag_records", "gauge", "lag_records",
+         "Records between the primary's committed LSN and ours"),
+        ("smc_repl_primary_down", "gauge", "primary_down",
+         "1 when consecutive polls to the primary keep failing"),
+        ("smc_repl_needs_resync", "gauge", "needs_resync",
+         "1 when the replica fell behind a primary checkpoint"),
+        ("smc_repl_apply_records_total", "counter", "applied_records", ""),
+        ("smc_repl_apply_batches_total", "counter", "applied_batches", ""),
+        ("smc_repl_polls_total", "counter", "polls", ""),
+        ("smc_repl_reconnects_total", "counter", "reconnects", ""),
+        ("smc_repl_resyncs_total", "counter", "resyncs", ""),
+        ("smc_repl_local_checkpoints_total", "counter",
+         "local_checkpoints", ""),
+        ("smc_repl_promotions_total", "counter", "promotions", ""),
+    ),
+}
+
+#: Per-context gauges: ``(series, key of a snapshot context, help)``.
+_CONTEXT_GAUGES = (
+    ("smc_context_limbo_fraction", "limbo_fraction",
+     "Limbo slots / capacity per context"),
+    ("smc_context_blocks", "blocks", "Block count per memory context"),
+    ("smc_context_live", "live", "Live objects per context"),
+    ("smc_context_reclaim_queue", "reclaim_queue",
+     "Reclamation-queue length per context"),
+)
+
+
+def _family(
+    name: str,
+    kind: str,
+    help: str,
+    samples: Iterable[Tuple[LabelItems, float]],
+) -> List[str]:
+    lines = [f"# HELP {name} {help}"] if help else []
+    lines.append(f"# TYPE {name} {kind}")
+    body = [
+        f"{name}{_render_labels(labels)} {_fmt(float(value))}"
+        for labels, value in samples
+    ]
+    return lines + (body or [f"{name} 0"])
+
+
+def expose_snapshot(snap: Dict[str, Any]) -> List[str]:
+    """Render a :func:`telemetry_snapshot` as Prometheus text lines.
+
+    Every ``counters`` entry becomes ``smc_<name>_total``; the other
+    series are declared in ``_SECTIONS`` and ``_CONTEXT_GAUGES``.
+    """
+    lines: List[str] = []
+    for section, series in _SECTIONS.items():
+        values = snap if section is None else snap.get(section)
+        if values is None:
+            continue
+        for name, kind, key, help in series:
+            lines += _family(name, kind, help, [((), values[key])])
+    contexts = snap["contexts"]
+    for name, key, help in _CONTEXT_GAUGES:
+        lines += _family(
+            name,
+            "gauge",
+            help,
+            [((("context", c["name"]),), c[key]) for c in contexts],
+        )
+    lines += _family(
+        "smc_string_dict_distinct",
+        "gauge",
+        "Distinct interned strings per collection dictionary",
+        [
+            ((("collection", coll),), count)
+            for coll, count in sorted(snap["string_dicts"].items())
+        ],
+    )
+    tier = snap["tier"]
+    if tier is not None:
+        lines += _family(
+            "smc_tier_blocks",
+            "gauge",
+            "Pool blocks by residency state",
+            [
+                ((("residency", state),), tier[f"{state}_blocks"])
+                for state in ("cold", "cooling", "hot")
+            ],
+        )
+        lines += _family(
+            "smc_tier_context_blocks",
+            "gauge",
+            "Pool blocks by residency state per memory context",
+            [
+                (
+                    (("context", c["name"]), ("residency", state)),
+                    c[f"{state}_blocks"],
+                )
+                for c in contexts
+                if c["hot_blocks"] or c["cold_blocks"]
+                for state in ("cold", "hot")
+            ],
+        )
+    for key, value in snap["counters"].items():
+        lines += _family(f"smc_{key}_total", "counter", "", [((), value)])
+    return lines

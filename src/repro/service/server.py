@@ -43,15 +43,7 @@ from repro.durability.replication import StalePromotionError
 from repro.schema import Int64Field, Tabular, VarStringField
 from repro.service import protocol
 from repro.service.admission import AdmissionController, OverloadedError
-from repro.service.metrics import (
-    MetricsRegistry,
-    engine_snapshot,
-    instrument_durability,
-    instrument_exec,
-    instrument_manager,
-    instrument_replication,
-    instrument_tiering,
-)
+from repro.service.metrics import MetricsRegistry, telemetry_snapshot
 from repro.service.plancache import PlanCache
 from repro.service.session import (
     DEFAULT_LEASE_TTL,
@@ -174,16 +166,13 @@ class QueryService:
             )
             self.manager.exec_pool = self.exec_pool
         self.metrics = metrics or MetricsRegistry()
-        instrument_manager(self.metrics, self.manager)
-        engine_snapshot(self.metrics)
-        if getattr(self.manager, "pager", None) is not None:
-            instrument_tiering(self.metrics, self.manager.pager)
-        if self.exec_pool is not None:
-            instrument_exec(self.metrics, self.exec_pool)
-        if store is not None:
-            instrument_durability(self.metrics, store)
-        if replication is not None:
-            instrument_replication(self.metrics, replication)
+        self.metrics.snapshot = self.telemetry
+        pager = getattr(self.manager, "pager", None)
+        if pager is not None:
+            pager.fault_timer = self.metrics.histogram(
+                "smc_tier_fault_seconds",
+                "Wall-clock latency of cold-block faults (promotion to hot)",
+            ).observe
         self._ship_requests = self.metrics.counter(
             "smc_repl_ship_requests_total",
             "Replicate polls served, by kind (tail/resync)",
@@ -269,7 +258,6 @@ class QueryService:
                         n
                     ),
                 )
-            pager = getattr(self.manager, "pager", None)
             if pager is not None:
                 # The hot block pool is by far the largest tenant; its
                 # weight keeps the initial split from starving it, and a
@@ -282,6 +270,16 @@ class QueryService:
                     set_budget=pager.set_budget,
                     weight=4.0,
                 )
+
+    def telemetry(self) -> Dict[str, Any]:
+        """The service's telemetry snapshot: ``info`` returns it as
+        ``telemetry`` and every ``metrics`` scrape renders it once."""
+        return telemetry_snapshot(
+            self.manager,
+            store=self.store,
+            replication=self.replication,
+            pool=self.exec_pool,
+        )
 
     # -- fleet role ----------------------------------------------------
 
@@ -371,9 +369,7 @@ class QueryService:
             elif op == "info":
                 response = {
                     "ok": True,
-                    "telemetry": protocol.encode_value(
-                        self.manager.telemetry()
-                    ),
+                    "telemetry": protocol.encode_value(self.telemetry()),
                     "plan_cache": self.plans.stats(),
                     "planner": self.planner_enabled,
                 }

@@ -41,15 +41,15 @@ def test_differential_workers_and_pruning(tpch_smc, name):
     """Pruned scans return exactly the serial unpruned rows, and so does
     ``workers=4`` with no process pool attached — without a parallel
     scan being counted."""
-    extra = tpch_smc["_manager"].stats.extra
+    stats = tpch_smc["_manager"].stats
     query = ALL_QUERIES[name](tpch_smc)
     expected = _canonical(query.run(params=DEFAULT_PARAMS, workers=1, prune=False))
     got = query.run(params=DEFAULT_PARAMS, workers=1, prune=True)
     assert _canonical(got) == expected, name
-    scans = extra.get("parallel_scans", 0)
+    scans = stats.parallel_scans
     got = query.run(params=DEFAULT_PARAMS, workers=4, prune=True)
     assert _canonical(got) == expected, name
-    assert extra.get("parallel_scans", 0) == scans
+    assert stats.parallel_scans == scans
 
 
 def _worn_people(n=3000, keep_mod=3):
@@ -104,12 +104,10 @@ def test_zone_staleness_free_keeps_bounds_conservative():
     zones = block.zones
     assert zones.stale >= 1
     assert zones.hi["age"] == 99  # stale-wide, by design
-    before = dict(m.stats.extra)
+    before = m.stats.zone_pruned_blocks
     assert _count(probe.run(workers=1, prune=True)) == 0
     # The conservative map admits the block even though it can no longer match.
-    assert m.stats.extra.get("zone_pruned_blocks", 0) == before.get(
-        "zone_pruned_blocks", 0
-    )
+    assert m.stats.zone_pruned_blocks == before
     m.close()
 
 
@@ -145,10 +143,10 @@ def test_zone_rebuilt_exactly_on_compaction():
         if zones is None or zones.version != block.zone_version:
             continue
         assert zones.hi["age"] <= survivors_max
-    before = m.stats.extra.get("zone_pruned_blocks", 0)
+    before = m.stats.zone_pruned_blocks
     assert _count(probe.run(workers=1, prune=True)) == 0
     # Rebuilt (or lazily re-derived) bounds now exclude the probe range.
-    assert m.stats.extra.get("zone_pruned_blocks", 0) > before
+    assert m.stats.zone_pruned_blocks > before
     m.close()
 
 
@@ -165,11 +163,11 @@ def test_selective_band_prunes_most_blocks():
         .where(TPerson.age.between(100, 200))
         .aggregate(n=Count())
     )
-    before_p = m.stats.extra.get("zone_pruned_blocks", 0)
-    before_s = m.stats.extra.get("zone_scanned_blocks", 0)
+    before_p = m.stats.zone_pruned_blocks
+    before_s = m.stats.zone_scanned_blocks
     assert _count(probe.run(workers=1, prune=True)) == 101
-    pruned = m.stats.extra.get("zone_pruned_blocks", 0) - before_p
-    scanned = m.stats.extra.get("zone_scanned_blocks", 0) - before_s
+    pruned = m.stats.zone_pruned_blocks - before_p
+    scanned = m.stats.zone_scanned_blocks - before_s
     assert pruned + scanned == nblocks
     assert pruned / nblocks >= 0.5
     m.close()

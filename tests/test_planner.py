@@ -81,19 +81,24 @@ def test_planner_identity_all_queries(tpch_tiny, layout):
 def test_planner_observed_selectivity_recorded(tpch_tiny):
     colls = load_smc(tpch_tiny, columnar=True)
     manager = colls["_manager"]
+    stats = manager.stats
     try:
+        rows_before = stats.scan_rows
+        matched_before = stats.scan_rows_matched
         result = QUERIES["q1"](colls).run(params=DEFAULT_PARAMS, planner=True)
         assert result.rows
-        extra = manager.stats.extra
         # Q1's shipdate predicate covers nearly the whole relation: the
         # zone test *runs* on every block but prunes nothing.  The
         # counters must say exactly that, not "no zone test happened".
-        assert extra.get("zone_tested_blocks", 0) > 0
-        assert extra.get("zone_tested_blocks") == extra.get(
-            "zone_pruned_blocks", 0
-        ) + extra.get("zone_scanned_blocks", 0)
-        assert 0 < extra.get("last_scan_selectivity_ppm", 0) <= 1_000_000
-        assert extra.get("scan_rows_matched", 0) > 0
+        assert stats.zone_tested_blocks > 0
+        assert stats.zone_tested_blocks == (
+            stats.zone_pruned_blocks + stats.zone_scanned_blocks
+        )
+        # Observed selectivity of the scan, in ppm.
+        rows = stats.scan_rows - rows_before
+        matched = stats.scan_rows_matched - matched_before
+        assert rows > 0 and 0 < int(1_000_000 * matched / rows) <= 1_000_000
+        assert stats.scan_rows_matched > 0
     finally:
         manager.close()
 
@@ -103,7 +108,7 @@ def test_prune_off_counts_untested_blocks(tpch_tiny):
     manager = colls["_manager"]
     try:
         QUERIES["q6"](colls).run(params=DEFAULT_PARAMS, prune=False)
-        assert manager.stats.extra.get("zone_untested_blocks", 0) > 0
+        assert manager.stats.zone_untested_blocks > 0
     finally:
         manager.close()
 
@@ -235,7 +240,7 @@ def test_index_lookup_results_identical(manager):
     planned = q.run(params={"a": 37}, planner=True)
     _identical(planned, baseline)
     assert len(planned.rows) == 4  # 4000 rows, age = i % 1000
-    assert manager.stats.extra.get("index_lookup_queries", 0) >= 1
+    assert manager.stats.index_lookup_queries >= 1
 
 
 def test_direct_pointer_manager_skips_index_path(direct_manager):

@@ -109,23 +109,23 @@ def test_differential_process_pool(pooled_smc, name):
     manager = pooled_smc["_manager"]
     query = ALL_QUERIES[name](pooled_smc)
     expected = _canonical(query.run(params=DEFAULT_PARAMS, workers=1))
-    before = manager.stats.extra.get("parallel_scans", 0)
+    before = manager.stats.parallel_scans
     got = query.run(params=DEFAULT_PARAMS, workers=2)
     assert _canonical(got) == expected
     # The query really took the process path, not the serial fallback.
-    assert manager.stats.extra.get("parallel_scans", 0) == before + 1
+    assert manager.stats.parallel_scans == before + 1
 
 
 def test_enumeration_falls_back_to_serial(pooled_smc):
     """Plans without a terminal (handle enumeration) run serially."""
     manager = pooled_smc["_manager"]
-    extra = manager.stats.extra
-    before = extra.get("parallel_serial_fallbacks", 0)
-    scans = extra.get("parallel_scans", 0)
+    stats = manager.stats
+    before = stats.parallel_serial_fallbacks
+    scans = stats.parallel_scans
     rows = pooled_smc["region"].query().run(workers=2)
     assert len(list(rows)) == len(pooled_smc["region"])
-    assert extra.get("parallel_serial_fallbacks", 0) == before + 1
-    assert extra.get("parallel_scans", 0) == scans
+    assert stats.parallel_serial_fallbacks == before + 1
+    assert stats.parallel_scans == scans
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_mutation_respawns_workers(tpch_tiny):
         assert manager.exec_pool.fingerprint() != fp
         post = _canonical(query.run(params=DEFAULT_PARAMS, workers=1))
         assert _canonical(query.run(params=DEFAULT_PARAMS, workers=2)) == post
-        assert manager.stats.extra.get("exec_worker_respawns", 0) >= 1
+        assert manager.stats.exec_worker_respawns >= 1
     finally:
         manager.close()
 
@@ -171,7 +171,7 @@ def test_worker_crash_redispatches_morsels(tpch_tiny):
         with sanitizer.enabled(manager=manager, faults=plan):
             got = query.run(params=DEFAULT_PARAMS, workers=2)
         assert _canonical(got) == expected
-        assert manager.stats.extra.get("exec_morsels_redispatched", 0) >= 1
+        assert manager.stats.exec_morsels_redispatched >= 1
         # The next query respawns a full complement and still agrees.
         again = query.run(params=DEFAULT_PARAMS, workers=2)
         assert _canonical(again) == expected

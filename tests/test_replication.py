@@ -22,6 +22,7 @@ monotonic across redirects.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 
@@ -44,6 +45,7 @@ from repro.service.client import (
 from repro.service.fleet import Fleet
 from repro.service.server import QueryService
 from tests.schemas import TNote
+from tests.test_service import documented_metric_names
 
 
 # ----------------------------------------------------------------------
@@ -225,6 +227,12 @@ class TestFleetDifferential:
         assert "smc_repl_applied_lsn" in text
         assert "smc_repl_lag_records" in text
         assert "smc_repl_apply_records_total" in text
+        documented = {
+            name
+            for name in documented_metric_names()
+            if name.startswith("smc_repl_")
+        }
+        assert documented <= set(re.findall(r"^# TYPE (\S+) ", text, re.M))
         with ServiceClient(port=fleet.primary.port) as client:
             text = client.metrics()
         assert 'smc_repl_ship_requests_total{kind="tail"}' in text

@@ -9,6 +9,9 @@ advancement, and limbo slots become reclaimable once its lease expires.
 """
 
 import datetime
+import importlib
+import pathlib
+import re
 import threading
 import time
 from decimal import Decimal
@@ -20,7 +23,8 @@ from repro.service.admission import AdmissionController, OverloadedError
 from repro.service.metrics import (
     Histogram,
     MetricsRegistry,
-    instrument_manager,
+    expose_snapshot,
+    telemetry_snapshot,
 )
 from repro.service.plancache import PlanCache
 from repro.service.session import SessionExpiredError, SessionRegistry
@@ -79,16 +83,14 @@ def test_registry_rejects_kind_conflicts():
     assert reg.counter("x") is reg.counter("x")
 
 
-def test_instrument_manager_exposes_memory_telemetry(manager):
+def test_telemetry_snapshot_exposes_memory_telemetry(manager):
     from repro.core.collection import Collection
     from tests.schemas import TNote
 
     notes = Collection(TNote, manager=manager)
     for i in range(20):
         notes.add(text=f"t{i % 3}", stars=i % 5)
-    reg = MetricsRegistry()
-    instrument_manager(reg, manager)
-    text = reg.expose()
+    text = "\n".join(expose_snapshot(telemetry_snapshot(manager)))
     assert "smc_global_epoch" in text
     assert 'smc_context_limbo_fraction{context="TNote"}' in text
     assert 'smc_string_dict_distinct{collection="TNote"} 3' in text
@@ -497,3 +499,122 @@ def test_info_reports_plan_cache_and_telemetry(tpch_service):
     stats = info["plan_cache"]
     assert stats["misses"] >= 1
     assert stats["hits"] >= 1
+
+
+# ----------------------------------------------------------------------
+# One telemetry surface: name contract, counter monotonicity
+# ----------------------------------------------------------------------
+
+_DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "service.md"
+
+
+def documented_metric_names():
+    """Every full ``smc_*`` series name in the service.md catalogue."""
+    text = _DOCS.read_text()
+    catalogue = text.split("## Metrics catalogue", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`(smc_[a-z0-9_]*[a-z0-9])(?:\{[^`]*\})?`", catalogue))
+
+
+def _emitted_names(text):
+    return set(re.findall(r"^# TYPE (\S+) ", text, flags=re.M))
+
+
+def _totals(text):
+    out = {}
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        series, __, value = line.rpartition(" ")
+        if series.split("{", 1)[0].endswith("_total"):
+            out[series] = float(value)
+    return out
+
+
+@pytest.fixture
+def durable_budgeted_service(tpch_tiny, tmp_path):
+    """A columnar TPC-H service over a DurableStore, under a 1 MiB pager
+    budget and a memory governor."""
+    from repro.durability import DurableStore
+    from repro.service.server import QueryService
+    from repro.tpch.loader import load_smc
+
+    collections = load_smc(tpch_tiny, columnar=True, memory_budget=1 << 20)
+    manager = collections["_manager"]
+    store = DurableStore.create(str(tmp_path / "data"), collections)
+    service = QueryService(
+        collections, manager, store=store, governor_budget=8 << 20
+    )
+    yield service
+    service.close()
+    manager.close()
+
+
+def test_scraped_counters_never_decrease(durable_budgeted_service):
+    """Every ``*_total`` sample is monotonic across scrapes, whatever the
+    queries in between (per-query values are not counters)."""
+    service = durable_budgeted_service
+    previous = _totals(service.handle({"op": "metrics"})["text"])
+    for name in ("q6", "q1", "q6"):
+        assert service.handle({"op": "query", "query": name})["ok"]
+        current = _totals(service.handle({"op": "metrics"})["text"])
+        for series, value in previous.items():
+            assert current.get(series, 0) >= value, (name, series)
+        previous = current
+
+
+def test_documented_metric_names_are_emitted(durable_budgeted_service):
+    documented = documented_metric_names()
+    assert "smc_wal_fsyncs_total" in documented
+    assert "smc_tier_faults_total" in documented
+    service = durable_budgeted_service
+    assert service.handle({"op": "query", "query": "q6"})["ok"]
+    emitted = _emitted_names(service.handle({"op": "metrics"})["text"])
+    # Replica series need a primary to follow (test_replication.py); the
+    # worker gauges need a process pool (below).
+    missing = {
+        name
+        for name in documented - emitted
+        if not name.startswith(("smc_repl_", "smc_exec_workers"))
+    }
+    assert not missing
+
+
+def test_documented_pool_metric_names_are_emitted(tpch_tiny):
+    from repro.service.server import QueryService
+    from repro.tpch.loader import load_smc
+
+    collections = load_smc(tpch_tiny, columnar=True, shm=True)
+    manager = collections["_manager"]
+    service = QueryService(collections, manager, exec_workers=2)
+    try:
+        reply = service.handle(
+            {"op": "query", "query": "q1", "workers": 2, "planner": False}
+        )
+        assert reply["ok"]
+        text = service.handle({"op": "metrics"})["text"]
+    finally:
+        service.close()
+        manager.close()
+    pool_names = {
+        name
+        for name in documented_metric_names()
+        if name.startswith("smc_exec_workers")
+    }
+    assert pool_names == {"smc_exec_workers", "smc_exec_workers_alive"}
+    assert pool_names <= _emitted_names(text)
+    assert "smc_exec_workers_alive 2" in text
+    assert "smc_parallel_scans_total 1" in text
+
+
+def test_info_counters_hold_benchmark_names_before_first_query(
+    durable_budgeted_service, monkeypatch
+):
+    """The benchmark reads these ``info`` counters; declared fields make
+    them present from the start, not only after their first bump."""
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    layers = importlib.import_module("layers")
+    info = durable_budgeted_service.handle({"op": "info"})
+    counters = info["telemetry"]["counters"]
+    assert set(layers._TELEMETRY) <= set(counters)
+    assert info["telemetry"]["store"]["wal_fsyncs_total"] >= 0

@@ -84,10 +84,10 @@ def test_residency_lifecycle_budget_and_cold_reads():
     assert sum(counts.values()) == len(persons.context.blocks())
 
     # Reads work in place over the cold mappings: no promotion happens.
-    faults_before = pager.faults
+    faults_before = m.stats.tier_faults
     assert sorted(h.age for h in persons) == [7] * len(handles)
     assert all(h.name.startswith("p") for h in handles)
-    assert pager.faults == faults_before
+    assert m.stats.tier_faults == faults_before
 
     # Cold buffers are read-only file mappings — a stray write raises
     # instead of corrupting the spilled image.
@@ -103,14 +103,14 @@ def test_residency_lifecycle_budget_and_cold_reads():
     victim = next(
         h for h in handles if _block_of(m, h).residency == "cold"
     )
-    spills_before = pager.spills
+    spills_before = m.stats.tier_spills
     victim.age = 99
     block = _block_of(m, victim)
     assert block.residency == "hot" and block.tier_dirty
-    assert pager.faults == faults_before + 1
+    assert m.stats.tier_faults == faults_before + 1
     pager.maintain()
     assert pager.hot_bytes() <= pager.budget
-    assert pager.spills > spills_before
+    assert m.stats.tier_spills > spills_before
     assert victim.age == 99  # readable again from the fresh cold image
     m.close()
 
@@ -121,7 +121,7 @@ def test_clean_redemotion_skips_the_spill():
     persons = Collection(TPerson, manager=m)
     _fill_blocks(persons, 5)
     pager.maintain()
-    spills = pager.spills
+    spills = m.stats.tier_spills
     assert spills >= 4
 
     # Fault a block back via a read reference: the tier image stays
@@ -135,7 +135,7 @@ def test_clean_redemotion_skips_the_spill():
     pager.maintain()
     assert pager.hot_bytes() <= pager.budget
     assert cold.residency == "cold"
-    assert pager.spills == spills
+    assert m.stats.tier_spills == spills
 
 
 def test_pin_faults_and_bars_demotion():
@@ -198,7 +198,8 @@ def test_tpch_budgeted_results_identical(tpch_small):
             assert got == want, name
             pager.maintain()  # operation boundary
             assert pager.hot_bytes() <= pager.budget, name
-        assert pager.faults > 0  # the budget was actually exercised
+        # The budget was actually exercised.
+        assert tiered["_manager"].stats.tier_faults > 0
     finally:
         plain["_manager"].close()
         tiered["_manager"].close()
@@ -218,17 +219,15 @@ def test_fully_pruned_scan_touches_zero_cold_bytes():
     # Every block's zone map says age <= 9: the predicate prunes them all
     # without faulting a single cold block (zone maps are built at
     # demotion and frozen while cold).
-    faults = pager.faults
+    faults = m.stats.tier_faults
     result = persons.query().where(TPerson.age >= 1000).run()
     assert len(result.rows) == 0
-    assert pager.faults == faults
-    assert m.stats.extra.get("last_scan_tier_faults") == 0
+    assert m.stats.tier_faults - faults == 0
 
     # Control: a selective-but-matching scan does fault cold blocks.
     result = persons.query().where(TPerson.age >= 0).run()
     assert len(result.rows) == n
-    assert pager.faults > faults
-    assert m.stats.extra["last_scan_tier_faults"] > 0
+    assert m.stats.tier_faults - faults > 0
     m.close()
 
 
@@ -592,7 +591,7 @@ def test_telemetry_and_residency_by_context():
     assert tier["budget_bytes"] == 2 * BS
     assert tier["cold_blocks"] >= 3
     assert tier["tier_file_bytes"] > 0
-    assert m.stats.extra["tier_evictions"] == tier["evictions"]
+    assert m.stats.tier_evictions == tier["evictions"]
 
     residency = m.pager.residency_by_context()
     ctx = residency[persons.context.context_id]
