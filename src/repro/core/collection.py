@@ -13,10 +13,23 @@ scan the raw blocks directly (section 4).
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Type, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+    Union,
+)
 
 from repro.errors import TabularTypeError
 from repro.memory.addressing import NULL_ADDRESS
+from repro.memory.indirection import INC_MASK
 from repro.memory.manager import MemoryManager
 from repro.memory.reference import Ref
 from repro.core.handle import Handle
@@ -136,27 +149,47 @@ class Collection:
         """Convert a user-supplied reference into its stored word pair."""
         if value is None:
             return None
-        if isinstance(value, Ref):
-            ref = value
-        else:
-            ref = getattr(value, "ref", None)
+        words, incs = self._ref_columns(field, (value,))
+        return words[0], incs[0]
+
+    def _ref_columns(
+        self, field: RefField, values: Iterable[Union[Handle, Ref, None]]
+    ) -> Tuple[List[int], List[int]]:
+        """Stored ``(words, incs)`` columns of user-supplied references.
+
+        ``None`` stores as ``(NULL_ADDRESS, 0)``; anything but a handle or
+        a :class:`Ref` raises ``TypeError``.
+        """
+        direct = self.manager.direct_pointers
+        words: List[int] = []
+        incs: List[int] = []
+        resolved = False
+        for value in values:
+            if value is None:
+                words.append(NULL_ADDRESS)
+                incs.append(0)
+                continue
+            ref = value if isinstance(value, Ref) else getattr(value, "ref", None)
             if not isinstance(ref, Ref):
                 raise TypeError(
                     f"field {field.name} expects a handle, Ref or None; "
                     f"got {type(value).__name__}"
                 )
-        target_cls = field.resolve_target()
-        if not self.manager.direct_pointers:
-            return ref.entry, ref.inc
-        # Direct-pointer mode: store the raw address plus the slot-header
-        # incarnation of the target (paper section 6, Figure 5).
-        address = ref.address()
-        block = self.manager.space.block_at(address)
-        slot = block.slot_of_address(address)
-        del target_cls  # validated for effect
-        from repro.memory.indirection import INC_MASK
-
-        return address, int(block.slot_incs[slot]) & INC_MASK
+            if not resolved:
+                field.resolve_target()  # an unresolvable target class raises
+                resolved = True
+            if not direct:
+                words.append(ref.entry)
+                incs.append(ref.inc)
+                continue
+            # Direct-pointer mode: store the raw address plus the slot-header
+            # incarnation of the target (paper section 6, Figure 5).
+            address = ref.address()
+            block = self.manager.space.block_at(address)
+            slot = block.slot_of_address(address)
+            words.append(address)
+            incs.append(int(block.slot_incs[slot]) & INC_MASK)
+        return words, incs
 
     def target_collection(self, field: RefField) -> "Collection":
         """Collection hosting *field*'s target class (for navigation)."""
@@ -179,9 +212,9 @@ class Collection:
 
         Maps directly onto the memory manager's ``alloc`` (section 2): the
         object is constructed in place in the collection's private blocks.
-        Construction is two-speed: a wide row is written with one combined
-        struct pack; a sparse one blits the default template and patches
-        only the supplied fields.
+        Every value is converted and validated before the slot is claimed,
+        so a rejected row (``TypeError``, ``ValueError``, ...) leaves no
+        slot, indirection entry or interned string behind.
         """
         mlog = self.mutation_log
         if mlog is None:
@@ -191,27 +224,30 @@ class Collection:
             mlog.log_add(self, handle.ref.entry, values)
             return handle
 
+    def add_many(self, rows: Iterable[Mapping[str, Any]]) -> List[Handle]:
+        """Add one object per mapping in *rows*; returns the handles in order.
+
+        Each mapping holds what ``add(**values)`` accepts.  Row-layout
+        collections add the rows one at a time; columnar collections
+        ingest them a chunk of up to a block's worth at a time
+        (:meth:`repro.core.columnar.ColumnarCollection.add_many`).
+        """
+        return [self.add(**row) for row in rows]
+
     def _add_impl(self, values: Dict[str, Any]) -> Handle:
         layout = self.layout
         by_name = layout.by_name
         for key in values:
             if key not in by_name:
                 raise TypeError(f"{self.schema.__name__} has no field {key!r}")
+        encoded = layout.encode_row(values, self._ref_words)
         manager = self.manager
         block, slot, ref = manager.allocate_object(
             self.context, defer_publish=True
         )
-        off = block.object_offset + slot * layout.slot_size
-        buf = block.buf
-        if len(values) * 2 >= len(layout.fields):
-            layout.pack_full_row(buf, off, values, manager, self._ref_words)
-        else:
-            buf[off + 8 : off + layout.slot_size] = layout.template_body
-            for key, value in values.items():
-                field = by_name[key]
-                if isinstance(field, RefField):
-                    value = self._ref_words(field, value)
-                layout.write_field(buf, off, key, value, manager)
+        layout.store_row(
+            block.buf, block.object_offset + slot * layout.slot_size, encoded, manager
+        )
         # Publish only the fully constructed object (paper section 2).
         self.context.commit_slot(block, slot)
         handle = Handle(self, ref)

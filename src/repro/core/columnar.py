@@ -16,7 +16,22 @@ collections (the paper describes relocation for row blocks only).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Type, Union
+import struct
+from itertools import islice
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+    Union,
+)
 
 import numpy as np
 
@@ -25,7 +40,7 @@ from repro.memory import slots as slotcodec
 from repro.memory import zonemap as _zonemap
 from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.block import BLOCK_HEADER_SIZE, KIND_COLUMNAR, _HEADER_STRUCT
-from repro.memory.context import MemoryContext
+from repro.memory.context import MemoryContext, store_run
 from repro.memory.indirection import INC_MASK
 from repro.memory.manager import MemoryManager
 from repro.memory.reference import Ref
@@ -112,6 +127,24 @@ def columnar_offsets(
     return cols, dir_off, bp_off, inc_off, total
 
 
+def columnar_slot_count(layout, dict_fields: frozenset, block_size: int) -> int:
+    """Slots per columnar block of *layout* in a *block_size*-byte block.
+
+    Same per-object budget as a row block of this type would have, shrunk
+    until all columns + metadata segments (with their 8-byte alignment
+    padding) fit the fixed block size.
+    """
+    n = max(1, (block_size - BLOCK_HEADER_SIZE) // (layout.slot_size + 4 + 8))
+    while columnar_offsets(layout, dict_fields, n)[4] > block_size:
+        if n == 1:
+            raise ValueError(
+                f"columnar layout of {layout.slot_size}B objects does not "
+                f"fit a {block_size}-byte block"
+            )
+        n -= 1
+    return n
+
+
 class ColumnarBlock:
     """A block whose object data lives in per-field column arrays."""
 
@@ -163,20 +196,8 @@ class ColumnarBlock:
         self.type_id = type_id
         self.context_id = context_id
         self.slot_size = layout.slot_size  # nominal, for memory accounting
-        # Same per-object budget as a row block of this type would have,
-        # shrunk until all columns + metadata segments (with their 8-byte
-        # alignment padding) fit the fixed block size.
-        n = max(1, (space.block_size - BLOCK_HEADER_SIZE) // (layout.slot_size + 4 + 8))
-        spec = columnar_offsets(layout, dict_fields, n)
-        while spec[4] > space.block_size and n > 1:
-            n -= 1
-            spec = columnar_offsets(layout, dict_fields, n)
-        cols, dir_off, bp_off, inc_off, total = spec
-        if total > space.block_size:
-            raise ValueError(
-                f"columnar layout of {layout.slot_size}B objects does not "
-                f"fit a {space.block_size}-byte block"
-            )
+        n = columnar_slot_count(layout, dict_fields, space.block_size)
+        cols, dir_off, bp_off, inc_off, total = columnar_offsets(layout, dict_fields, n)
         self.slot_count = n
         # All columns and metadata live in ONE flat buffer with a
         # self-describing header, exactly like row blocks, so a worker
@@ -418,6 +439,39 @@ class ColumnarHandle:
         return f"<{name} columnar handle {'alive' if self.is_alive else 'null'}>"
 
 
+#: Upper bound on an add_many chunk.  A chunk's rows and converted values
+#: are transient Python objects; keeping them few keeps the allocator from
+#: holding on to a block's worth of them after the load.
+MAX_CHUNK_ROWS = 1024
+
+
+def _char_encoder(width: int):
+    """Converter of one ``CharField``: utf-8 bytes, at most *width* of them."""
+
+    def encode(value: Any) -> bytes:
+        data = str(value).encode("utf-8")
+        if len(data) > width:
+            # NumPy would truncate silently; refuse like one-row writes.
+            raise ValueError(f"string of {len(data)} bytes exceeds CharField({width})")
+        return data
+
+    return encode
+
+
+def _text(value: Any) -> str:
+    return "" if value is None else str(value)
+
+
+#: ``struct`` format code holding exactly the values a column dtype stores.
+_STRUCT_CODES = {"i1": "b", "i2": "h", "i4": "i", "i8": "q", "u4": "I", "f8": "d"}
+
+
+def _struct_code(dtype: np.dtype) -> str:
+    if dtype.kind == "S":
+        return f"{dtype.itemsize}s"
+    return _STRUCT_CODES[dtype.str[1:]]
+
+
 class ColumnarCollection(Collection):
     """A self-managed collection with columnar object storage."""
 
@@ -434,11 +488,8 @@ class ColumnarCollection(Collection):
         mgr = self.manager
         type_id = self.context.type_id
         context = self.context
-        dict_fields = (
-            frozenset(f.name for f in layout.var_fields)
-            if self.strdict is not None
-            else frozenset()
-        )
+        var_names = frozenset(f.name for f in layout.var_fields)
+        dict_fields = var_names if self.strdict is not None else frozenset()
         #: Columnar contexts build columnar blocks instead of row blocks.
         context.block_factory = lambda: ColumnarBlock(
             mgr.space, layout, type_id, context.context_id, dict_fields
@@ -446,37 +497,232 @@ class ColumnarCollection(Collection):
         #: Recorded so a worker attaching this context's blocks by segment
         #: name can recompute the exact column offsets (columnar_offsets).
         context.dict_fields = dict_fields
+        #: Rows per add_many chunk: at most one block's worth of slots.
+        self._chunk_rows = min(
+            MAX_CHUNK_ROWS, columnar_slot_count(layout, dict_fields, mgr.space.block_size)
+        )
+        self._var_names = [f.name for f in layout.var_fields]
+        self._init_ingest_plan(layout, var_names, dict_fields)
+
+    def _init_ingest_plan(self, layout, var_names, dict_fields) -> None:
+        """Precompute how add_many turns row values into column values.
+
+        Rows are gathered in field order (absent fields take the field's
+        default) and each field's values go through its converter (None:
+        stored as given; a ``CharField`` converter also checks the width);
+        then the reference positions are turned into their word and
+        incarnation columns and the varstring positions kept as texts.
+        The stored columns follow ``columnar_offsets`` order.
+        """
+        converters: List[Any] = []
+        self._ref_fields: List[Tuple[int, RefField]] = []
+        self._text_fields: List[int] = []
+        sources: List[Tuple[int, Optional[int]]] = []
+        for pos, field in enumerate(layout.fields):
+            if isinstance(field, RefField):
+                converters.append(None)
+                self._ref_fields.append((pos, field))
+                sources += [(pos, 0), (pos, 1)]
+            elif isinstance(field, VarStringField):
+                converters.append(_text)
+                self._text_fields.append(pos)
+            elif isinstance(field, CharField):
+                converters.append(_char_encoder(field.width))
+                sources.append((pos, None))
+            else:
+                as_given = type(field).to_raw is Field.to_raw
+                converters.append(None if as_given else field.to_raw)
+                sources.append((pos, None))
+        self._converters = converters
+        self._column_sources = sources
+        self._field_names = [f.name for f in layout.fields]
+        self._field_defaults = [f.default for f in layout.fields]
+        getter = itemgetter(*self._field_names)
+        if len(self._field_names) == 1:
+            self._row_getter = lambda row: (getter(row),)
+        else:
+            self._row_getter = getter
+        #: The stored (non-varstring) columns, in column order.
+        self._record_dtype = np.dtype(
+            [
+                (name, dtype)
+                for name, dtype, __ in columnar_offsets(layout, dict_fields, 1)[0]
+                if name not in var_names
+            ]
+        )
+        self._column_names = list(self._record_dtype.names)
+        self._row_struct = struct.Struct(
+            "<" + "".join(_struct_code(dt) for dt, __ in self._record_dtype.fields.values())
+        )
 
     # -- row construction --------------------------------------------------
 
-    def add(self, **values: Any):
+    def add(self, **values: Any) -> ColumnarHandle:
+        """Create one object; the one-row case of :meth:`add_many`."""
+        return self._add_rows([values])[0]
+
+    def add_many(self, rows: Iterable[Mapping[str, Any]]) -> List[ColumnarHandle]:
+        """Add one object per mapping in *rows*; returns the handles in order.
+
+        Each mapping holds what ``add(**values)`` accepts.  The rows are
+        ingested a *chunk* at a time — at most one allocation block's worth,
+        and at most :data:`MAX_CHUNK_ROWS`:
+
+        1. every value of the chunk is converted to its raw column form
+           and validated;
+        2. the chunk's slots and indirection entries are claimed, block
+           run by block run, exactly as one-row adds would claim them;
+        3. each run's columns are stored with one slice (or fancy-index)
+           assignment per column, and its varstrings are interned in
+           row-major order, so dictionary codes and heap addresses match
+           one-row adds;
+        4. the run's slots are published last.
+
+        A chunk is atomic against rejected values: an unknown field or a
+        non-handle reference raises ``TypeError``, a ``CharField`` value
+        longer than its width in utf-8 bytes ``ValueError``, an integer
+        outside its column's range ``OverflowError`` — all before the
+        chunk claims a slot or interns a string, so none of its rows is
+        published and nothing leaks.  Rows of earlier chunks stay added.
+        A durable collection logs one add per row, the whole chunk under
+        one ``hold()``; secondary indexes are filled after publication.
+        """
+        handles: List[ColumnarHandle] = []
+        rows = iter(rows)
+        while True:
+            chunk = list(islice(rows, self._chunk_rows))
+            if not chunk:
+                return handles
+            handles += self._add_rows(chunk)
+
+    def _add_rows(self, rows: List[Mapping[str, Any]]) -> List[ColumnarHandle]:
+        """Add one chunk of rows (at most a block's worth)."""
         mlog = self.mutation_log
         if mlog is None:
-            return self._add_impl(values)
+            return self._add_chunk(rows)
         with mlog.hold():
-            handle = self._add_impl(values)
-            mlog.log_add(self, handle.ref.entry, values)
-            return handle
+            handles = self._add_chunk(rows)
+            for handle, values in zip(handles, rows):
+                mlog.log_add(self, handle.ref.entry, values)
+        return handles
 
-    def _add_impl(self, values: Dict[str, Any]):
-        converted: Dict[str, Any] = {}
-        for key, value in values.items():
-            field = self.layout.by_name.get(key)
-            if field is None:
-                raise TypeError(f"{self.schema.__name__} has no field {key!r}")
-            converted[key] = value
-        block, slot, ref = self.manager.allocate_object(
-            self.context, defer_publish=True
-        )
-        for field in self.layout.fields:
-            self._write_field(
-                block, slot, field, converted.get(field.name, field.default)
-            )
-        self.context.commit_slot(block, slot)
-        handle = ColumnarHandle(self, ref)
+    def _add_chunk(self, rows: List[Mapping[str, Any]]) -> List[ColumnarHandle]:
+        columns, texts = self._convert_chunk(rows)
+        manager = self.manager
+        if self.strdict is not None:
+            store_text = self.strdict.intern
+        else:
+            store_text = manager.strings.alloc
+        var_names = self._var_names
+        entries: List[int] = []
+        first = 0
+        for block, slots, run_entries in manager.allocate_objects(
+            self.context, len(rows), defer_publish=True
+        ):
+            last = first + len(slots)
+            block_columns = block.columns
+            # Varstrings are interned row-major, like one-row adds: codes
+            # and heap addresses depend on the order strings are first seen.
+            if len(slots) == 1:
+                slot = slots[0]
+                for name, values in zip(self._column_names, columns):
+                    block_columns[name][slot] = values[first]
+                for name, field_texts in zip(var_names, texts):
+                    block_columns[name][slot] = store_text(field_texts[first])
+            else:
+                whole = last - first == len(rows)  # the usual one-run chunk
+                for name, values in zip(self._column_names, columns):
+                    store_run(
+                        block_columns[name],
+                        slots,
+                        values if whole else values[first:last],
+                    )
+                if var_names:
+                    words = [
+                        store_text(field_texts[row])
+                        for row in range(first, last)
+                        for field_texts in texts
+                    ]
+                    step = len(var_names)
+                    for i, name in enumerate(var_names):
+                        store_run(block_columns[name], slots, words[i::step])
+            self.context.commit_slots(block, slots)
+            entries += run_entries
+            first = last
+        table = manager.table
+        handles = [
+            ColumnarHandle(self, Ref(manager, entry, table.incarnation(entry)))
+            for entry in entries
+        ]
         for index in self._indexes:
-            index._insert(ref.entry, getattr(handle, index.field_name))
-        return handle
+            name = index.field_name
+            for handle in handles:
+                index._insert(handle.ref.entry, getattr(handle, name))
+        return handles
+
+    def _convert_chunk(
+        self, rows: List[Mapping[str, Any]]
+    ) -> Tuple[List[Any], List[Tuple[str, ...]]]:
+        """Raw column values and varstring texts of *rows*, validated.
+
+        Returns ``(columns, texts)``: the values of every stored column, in
+        ``_column_names`` order (a reference contributes its ``__w`` and
+        ``__i`` columns), and per varstring field the row texts still to
+        be interned.
+        Touches no storage: every rejection happens here.
+        """
+        layout = self.layout
+        fields = layout.by_name.keys()
+        for row in rows:
+            if not fields >= row.keys():
+                key = next(k for k in row if k not in fields)
+                raise TypeError(f"{self.schema.__name__} has no field {key!r}")
+        # Gather each row's values in field order (one C-level getter
+        # call per row), then convert them field by field: a chunk
+        # transposed to one sequence per field, a single row as it is.
+        try:
+            gathered = list(map(self._row_getter, rows))
+        except KeyError:
+            # Some row leaves fields out: they take their defaults.
+            names, defaults = self._field_names, self._field_defaults
+            gathered = [tuple(map(row.get, names, defaults)) for row in rows]
+        if len(rows) == 1:
+            by_field = [
+                (value if convert is None else convert(value),)
+                for value, convert in zip(gathered[0], self._converters)
+            ]
+        else:
+            by_field = [
+                values if convert is None else list(map(convert, values))
+                for values, convert in zip(zip(*gathered), self._converters)
+            ]
+        refs = {
+            pos: self._ref_columns(field, by_field[pos])
+            for pos, field in self._ref_fields
+        }
+        columns = [
+            by_field[pos] if part is None else refs[pos][part]
+            for pos, part in self._column_sources
+        ]
+        texts = [by_field[pos] for pos in self._text_fields]
+        # Converting to the column dtypes is the last check: NumPy raises
+        # OverflowError for an out-of-range integer and TypeError for a
+        # value that is no number, exactly as the column store would.
+        if len(rows) == 1:
+            # One row: a struct pack checks every column in one C call.  It
+            # accepts a subset of what NumPy does (no float or Decimal for
+            # an integer column), so only a refused row asks NumPy, which
+            # then raises (or accepts) exactly as the column store would.
+            row = [values[0] for values in columns]
+            try:
+                self._row_struct.pack(*row)
+            except struct.error:
+                np.array([tuple(row)], self._record_dtype)
+            return columns, texts
+        return [
+            np.array(values, dtype=dtype)
+            for values, (dtype, __) in zip(columns, self._record_dtype.fields.values())
+        ], texts
 
     def _write_field(
         self, block: ColumnarBlock, slot: int, field: Field, value: Any
@@ -549,6 +795,11 @@ class ColumnarCollection(Collection):
             epochs.exit_critical_section()
         for index in self._indexes:
             index._delete(ref.entry)
+
+    def _free_matched(self, ref: Ref) -> None:
+        # remove_where's per-match free: column-aware, unlike the row
+        # layout's in-slot string release.
+        self._remove_impl(ref)
 
     # -- enumeration --------------------------------------------------------
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Any, BinaryIO, Dict, List, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.collection import Collection
 from repro.core.columnar import ColumnarCollection
@@ -190,6 +190,44 @@ def _write_row(fh: BinaryIO, layout, handle, ordinals) -> None:
 # ----------------------------------------------------------------------
 
 
+def _read_rows(
+    fh: BinaryIO,
+    coll,
+    n_rows: int,
+    handles_by_name: Dict[str, list],
+    pending_refs: List[Tuple[Any, int, str, str, int]],
+) -> Iterator[Dict[str, Any]]:
+    """Decode *coll*'s *n_rows* stored rows into ``add`` values, lazily.
+
+    A reference into an already loaded collection becomes its handle; any
+    other one (forward, cyclic, or dangling) is left out of the row and
+    queued on *pending_refs* for the second pass.
+    """
+    for row_idx in range(n_rows):
+        values: Dict[str, Any] = {}
+        for f in coll.layout.fields:
+            if isinstance(f, RefField):
+                target_name = _read_str(fh)
+                (ordinal,) = _I64.unpack(_read_exact(fh, 8))
+                if ordinal < 0:
+                    continue
+                targets = handles_by_name.get(target_name)
+                if targets is not None and ordinal < len(targets):
+                    values[f.name] = targets[ordinal]
+                else:
+                    pending_refs.append((coll, row_idx, f.name, target_name, ordinal))
+            elif isinstance(f, VarStringField):
+                (n,) = _U32.unpack(_read_exact(fh, 4))
+                values[f.name] = _read_exact(fh, n).decode("utf-8")
+            elif isinstance(f, CharField):
+                raw = _read_exact(fh, f.width)
+                values[f.name] = raw.rstrip(b"\x00 ").decode("utf-8")
+            else:
+                (raw,) = f._struct.unpack(_read_exact(fh, f._struct.size))
+                values[f.name] = f.from_raw(raw)
+        yield values
+
+
 def load_collections(
     path: str,
     manager: Optional[MemoryManager] = None,
@@ -255,33 +293,15 @@ def load_collections(
                 )
             coll = factory(schema, manager=manager, name=name)
             collections[name] = coll
-            handles = []
             (n_rows,) = _U64.unpack(_read_exact(fh, 8))
-            for row_idx in range(n_rows):
-                values: Dict[str, Any] = {}
-                for f in layout.fields:
-                    if isinstance(f, RefField):
-                        target_name = _read_str(fh)
-                        (ordinal,) = _I64.unpack(_read_exact(fh, 8))
-                        if ordinal >= 0:
-                            pending_refs.append(
-                                (coll, row_idx, f.name, target_name, ordinal)
-                            )
-                    elif isinstance(f, VarStringField):
-                        (n,) = _U32.unpack(_read_exact(fh, 4))
-                        values[f.name] = _read_exact(fh, n).decode("utf-8")
-                    elif isinstance(f, CharField):
-                        raw = _read_exact(fh, f.width)
-                        values[f.name] = raw.rstrip(b"\x00 ").decode("utf-8")
-                    else:
-                        (raw,) = f._struct.unpack(
-                            _read_exact(fh, f._struct.size)
-                        )
-                        values[f.name] = f.from_raw(raw)
-                handles.append(coll.add(**values))
-            handles_by_name[name] = handles
+            # Rows stream into add_many, which ingests a block of them at
+            # a time; handles come back in row order.
+            handles_by_name[name] = coll.add_many(
+                _read_rows(fh, coll, n_rows, handles_by_name, pending_refs)
+            )
 
-        # Second pass: resolve references (forward and cyclic included).
+        # Second pass: resolve the references _read_rows could not (forward
+        # and cyclic ones).
         for coll, row_idx, field_name, target_name, ordinal in pending_refs:
             target_handles = handles_by_name.get(target_name)
             if target_handles is None or ordinal >= len(target_handles):

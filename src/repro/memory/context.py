@@ -11,14 +11,52 @@ recyclable limbo slots.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.memory import slots as slotcodec
 from repro.memory import zonemap
 from repro.memory.allocator import ReclamationQueue, ThreadLocalBlocks
 from repro.memory.block import Block
+from repro.memory.slots import FREE, LIMBO, VALID
+from repro.sanitizer import hooks as _san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.manager import MemoryManager
+
+
+def store_run(array: np.ndarray, slots: List[int], values) -> None:
+    """Write *values*, one per slot, into *array* at *slots*.
+
+    A contiguous run of slots is written as one slice, a scattered one
+    (recycled LIMBO slots) with fancy indexing, a single slot as a scalar.
+    Runs of two or more slots also take one scalar for all of them.
+    """
+    if len(slots) == 1:
+        array[slots[0]] = values[0]
+    elif slots[-1] - slots[0] + 1 == len(slots):
+        array[slots[0] : slots[-1] + 1] = values
+    else:
+        array[slots] = values
+
+
+def _claim_run(block: Block, n: int, global_epoch: int) -> List[int]:
+    """Claim up to *n* allocatable slots of *block* from its cursor on."""
+    start = block.alloc_cursor
+    end = min(start + n, block.slot_count)
+    if n > 1 and end > start and not block.directory[start:end].any():
+        # A never-used stretch (FREE words are 0): claim it whole.
+        block.alloc_cursor = end
+        return list(range(start, end))
+    slots: List[int] = []
+    while len(slots) < n:
+        slot = block.find_allocatable(block.alloc_cursor, global_epoch)
+        if slot is None:
+            break
+        block.alloc_cursor = slot + 1
+        slots.append(slot)
+    return slots
 
 
 class MemoryContext:
@@ -83,24 +121,27 @@ class MemoryContext:
     # Allocation (section 3.5)
     # ------------------------------------------------------------------
 
-    def allocate_slot(self) -> Tuple[Block, int]:
-        """Claim a slot for a new object; returns ``(block, slot)``.
+    def allocate_slots(self, n: int) -> Tuple[Block, List[int]]:
+        """Claim up to *n* slots of one block; returns ``(block, slots)``.
 
-        The slot is *claimed* (the cursor moves past it) but not yet
-        published: its directory entry stays FREE/LIMBO until
-        :meth:`commit_slot` flips it to VALID, so concurrent scans never
-        observe a slot whose back-pointer and field values are still
-        being written (the paper's Add publishes the object last).
+        The run holds at least one slot, in slot order, and ends early only
+        where the active block runs out; the caller asks again for the
+        rest.  The slots are exactly the ones *n* single-slot claims would
+        take, LIMBO slots reclaimable at epoch+2 included.  They are
+        *claimed* (the cursor moves past them) but not yet published:
+        their directory entries stay FREE/LIMBO until :meth:`commit_slots`
+        flips them to VALID, so concurrent scans never observe a slot
+        whose back-pointer and field values are still being written (the
+        paper's Add publishes the object last).
         """
         manager = self.manager
         epochs = manager.epochs
         block = self._tl_blocks.get()
         while True:
             if block is not None:
-                slot = block.find_allocatable(block.alloc_cursor, epochs.global_epoch)
-                if slot is not None:
-                    block.alloc_cursor = slot + 1
-                    return block, slot
+                slots = _claim_run(block, n, epochs.global_epoch)
+                if slots:
+                    return block, slots
                 # Current thread-local block is exhausted; abandon it.
                 block.alloc_cursor = block.slot_count
                 self._retire_active_block(block)
@@ -133,11 +174,31 @@ class MemoryContext:
             self._tl_blocks.set(block)
 
     def commit_slot(self, block: Block, slot: int) -> None:
-        """Publish a claimed slot: directory -> VALID, counters updated."""
-        if block.state_of(slot) != 0:  # LIMBO slot recycled in place
-            self.manager.stats.limbo_reuses += 1
-        block.mark_valid(slot)  # also invalidates the block's zone map
-        self.live_count += 1
+        """Publish one claimed slot; the one-slot case of :meth:`commit_slots`."""
+        self.commit_slots(block, (slot,))
+
+    def commit_slots(self, block: Block, slots: Sequence[int]) -> None:
+        """Publish claimed slots of *block*: directory -> VALID, counters updated.
+
+        Under the sanitizer every slot goes through ``mark_valid`` so each
+        publication is checked as its own ``slot.valid`` event.
+        """
+        if len(slots) == 1 or _san.SANITIZER is not None:
+            for slot in slots:
+                if block.state_of(slot) != FREE:  # LIMBO slot recycled in place
+                    self.manager.stats.limbo_reuses += 1
+                block.mark_valid(slot)  # also invalidates the block's zone map
+        else:
+            states = block.directory[slots] & slotcodec.STATE_MASK
+            reused = int(np.count_nonzero(states == LIMBO))
+            store_run(block.directory, slots, slotcodec.pack(VALID))
+            block.limbo_count -= reused
+            block.valid_count += len(slots)
+            # After the directory write, as in mark_valid: a zone map built
+            # under the new version has seen these slots.
+            block.zone_version += len(slots)
+            self.manager.stats.limbo_reuses += reused
+        self.live_count += len(slots)
 
     def _retire_active_block(self, block: Block) -> None:
         """An exhausted thread-local block becomes queue-eligible again."""

@@ -33,7 +33,7 @@ enforced by the compactor (``repro.core.compaction``).
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -80,30 +80,46 @@ class IndirectionTable:
     # ------------------------------------------------------------------
 
     def allocate(self, address: int) -> int:
-        """Create (or recycle) an entry pointing at *address*; return its index.
+        """Create (or recycle) one entry; the one-entry case of :meth:`allocate_many`."""
+        return self.allocate_many((address,))[0]
 
-        Recycled entries keep their incremented incarnation counter so that
-        stale references created against the previous occupant keep failing
+    def allocate_many(self, addresses: Sequence[int]) -> List[int]:
+        """Create (or recycle) one entry per address; return their indices.
+
+        Entries come off the free list first, in the order one-at-a-time
+        allocation pops them, then from fresh capacity.  Recycled entries
+        keep their incremented incarnation counter so that stale
+        references created against the previous occupant keep failing
         their incarnation check (section 3.2).
         """
+        n = len(addresses)
         with self._grow_lock:
-            if self._free:
-                idx = self._free.pop()
-            else:
-                idx = self._size
-                if idx == len(self._addr):
+            free = self._free
+            recycled = min(n, len(free))
+            entries = free[len(free) - recycled :]
+            entries.reverse()  # the order repeated pop() takes them
+            del free[len(free) - recycled :]
+            fresh = n - recycled
+            if fresh:
+                start = self._size
+                while start + fresh > len(self._addr):
                     self._grow()
-                self._size += 1
-            self._addr[idx] = address
+                self._size = start + fresh
+                entries += range(start, start + fresh)
+            if n == 1:
+                self._addr[entries[0]] = addresses[0]
+            else:
+                self._addr[entries] = addresses
             if _san.SANITIZER is not None:
-                _san.SANITIZER.event(
-                    "entry.alloc",
-                    lock_held=True,
-                    table=self,
-                    entry=idx,
-                    address=address,
-                )
-            return idx
+                for idx, address in zip(entries, addresses):
+                    _san.SANITIZER.event(
+                        "entry.alloc",
+                        lock_held=True,
+                        table=self,
+                        entry=idx,
+                        address=address,
+                    )
+            return entries
 
     def release(self, idx: int) -> None:
         """Return entry *idx* to the free list (its incarnation persists).

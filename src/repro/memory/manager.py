@@ -17,7 +17,7 @@ import dataclasses
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     ConcurrencyProtocolError,
@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.memory.addressing import AddressSpace, NULL_ADDRESS
 from repro.memory.block import Block
-from repro.memory.context import MemoryContext
+from repro.memory.context import MemoryContext, store_run
 from repro.memory.epoch import EpochManager
 from repro.memory.indirection import (
     FLAG_MASK,
@@ -255,30 +255,73 @@ class MemoryManager:
     def allocate_object(
         self, context: MemoryContext, defer_publish: bool = False
     ) -> Tuple[Block, int, Ref]:
-        """Allocate a slot in *context*; returns ``(block, slot, ref)``.
+        """Allocate one slot in *context*; returns ``(block, slot, ref)``.
 
-        The slot's data (beyond the slot header) is left untouched; the
-        collection layer writes the object's fields through its layout.
-        With ``defer_publish`` the slot stays unpublished (not VALID) and
-        the caller must call ``context.commit_slot(block, slot)`` once the
-        object is fully constructed — the paper's Add sequence: allocate,
-        run the constructor, then add to the collection (section 2).
+        The one-object case of :meth:`allocate_objects`.
         """
+        self._start_allocations(context, 1)
+        block, slots, entries = self._allocate_run(context, 1, defer_publish)
+        entry = entries[0]
+        return block, slots[0], Ref(self, entry, self.table.incarnation(entry))
+
+    def allocate_objects(
+        self, context: MemoryContext, n: int, defer_publish: bool = False
+    ) -> Iterator[Tuple[Block, List[int], List[int]]]:
+        """Allocate *n* slots in *context*, one block run at a time.
+
+        Yields ``(block, slots, entries)`` per run: slots of one block in
+        slot order, each with its indirection entry allocated and its
+        back-pointer written.  The slots' data (beyond the slot header) is
+        left untouched; the collection layer writes the objects' fields.
+        With ``defer_publish`` the slots stay unpublished (not VALID) and
+        the caller must call ``context.commit_slots(block, slots)`` once
+        the run's objects are fully constructed, before asking for the next
+        run — the paper's Add sequence (allocate, run the constructor, then
+        add to the collection, section 2) done per block.  Slots and
+        entries are the ones *n* one-object allocations would take, in the
+        same order.
+        """
+        self._start_allocations(context, n)
+        while n > 0:
+            run = self._allocate_run(context, n, defer_publish)
+            n -= len(run[1])
+            yield run
+
+    def _start_allocations(self, context: MemoryContext, n: int) -> None:
         self._ensure_open()
         if _san.SANITIZER is not None:
-            _san.SANITIZER.event("alloc.start", manager=self, context=context.name)
+            # Every object's allocation starts before any slot is claimed,
+            # so an injected allocation failure leaves no trace.
+            for __ in range(n):
+                _san.SANITIZER.event("alloc.start", manager=self, context=context.name)
+
+    def _allocate_run(
+        self, context: MemoryContext, n: int, defer_publish: bool
+    ) -> Tuple[Block, List[int], List[int]]:
+        """Claim up to *n* slots of one block and give each an entry."""
+        table = self.table
         self._drain_retired_entries()
-        block, slot = context.allocate_slot()
-        address = block.slot_address(slot)
-        entry = self.table.allocate(address)
-        block.backptrs[slot] = entry
+        epoch = self.epochs.global_epoch
+        block, slots = context.allocate_slots(n)
+        addresses = [block.slot_address(slot) for slot in slots]
+        if len(slots) > 1 and self.epochs.global_epoch != epoch:
+            # Claiming the run's first slot advanced the epoch; the
+            # one-object path drains again before every later object.
+            entries = table.allocate_many(addresses[:1])
+            self._drain_retired_entries()
+            entries += table.allocate_many(addresses[1:])
+        else:
+            entries = table.allocate_many(addresses)
+        store_run(block.backptrs, slots, entries)
         if not defer_publish:
-            context.commit_slot(block, slot)
-        self.stats.allocations += 1
-        inc = self.table.incarnation(entry)
+            context.commit_slots(block, slots)
+        self.stats.allocations += len(slots)
         if _san.SANITIZER is not None:
-            _san.SANITIZER.event("alloc.publish", manager=self, entry=entry, slot=slot)
-        return block, slot, Ref(self, entry, inc)
+            for entry, slot in zip(entries, slots):
+                _san.SANITIZER.event(
+                    "alloc.publish", manager=self, entry=entry, slot=slot
+                )
+        return block, slots, entries
 
     def free_object(self, ref: Ref) -> None:
         """End the referenced object's lifetime.

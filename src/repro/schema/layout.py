@@ -9,6 +9,7 @@ paper requires of tabular types (section 2).
 
 from __future__ import annotations
 
+import struct
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.addressing import NULL_ADDRESS
@@ -54,41 +55,16 @@ class SlotLayout:
             if not isinstance(f, (RefField, VarStringField))
         ]
 
-        self._template_body: Optional[bytes] = None
         self._full_struct = None
-        self._default_raws: Optional[List[Any]] = None
 
     # ------------------------------------------------------------------
     # Fast row construction
     # ------------------------------------------------------------------
 
-    @property
-    def template_body(self) -> bytes:
-        """Default-initialised slot bytes (excluding the 8-byte header).
-
-        ``Collection.add`` blits this template with one slice assignment —
-        the Python analogue of the default constructor running over
-        freshly allocated memory — and then overwrites only the supplied
-        fields.
-        """
-        if self._template_body is None:
-            buf = bytearray(self.slot_size)
-            for f in self.fields:
-                if isinstance(f, RefField):
-                    f.encode_words(buf, f.offset, NULL_ADDRESS, 0)
-                elif isinstance(f, VarStringField):
-                    f._struct.pack_into(buf, f.offset, NULL_ADDRESS)
-                else:
-                    f.encode_into(buf, f.offset, f.default)
-            self._template_body = bytes(buf[SLOT_HEADER_SIZE:])
-        return self._template_body
-
     def _ensure_full_struct(self) -> None:
         """One combined Struct covering every field (with pad bytes)."""
         if self._full_struct is not None:
             return
-        import struct as _struct
-
         fmt = ["<"]
         pos = SLOT_HEADER_SIZE
         for f in self.fields:
@@ -106,23 +82,25 @@ class SlotLayout:
                 pos += f.size
         if self.slot_size > pos:
             fmt.append(f"{self.slot_size - pos}x")
-        self._full_struct = _struct.Struct("".join(fmt))
+        self._full_struct = struct.Struct("".join(fmt))
 
-    def pack_full_row(
-        self,
-        buf,
-        slot_off: int,
-        values: Dict[str, Any],
-        manager: "MemoryManager",
-        ref_encoder,
-    ) -> None:
-        """Write a whole row with a single combined struct pack.
+    def encode_row(
+        self, values: Dict[str, Any], ref_encoder
+    ) -> Tuple[bytearray, List[Tuple[VarStringField, str]]]:
+        """Convert and validate a whole row without touching any storage.
 
+        Returns the packed slot body (everything after the slot header)
+        with its varstring words still ``NULL_ADDRESS``, plus the
+        ``(field, text)`` pairs :meth:`store_row` interns into them.
+        Every conversion that can reject a value (reference encoding,
+        ``CharField`` width, integer range) runs here, so a rejected row
+        raises before its caller claims a slot or interns a string.
         ``ref_encoder(field, value)`` converts user reference values to
         stored ``(word, inc)`` pairs (collection-supplied, mode-aware).
         """
         self._ensure_full_struct()
         raws: List[Any] = []
+        texts: List[Tuple[VarStringField, str]] = []
         for f in self.fields:
             if isinstance(f, RefField):
                 pair = None
@@ -130,7 +108,9 @@ class SlotLayout:
                     pair = ref_encoder(f, values[f.name])
                 raws.extend(pair if pair is not None else (NULL_ADDRESS, 0))
             elif isinstance(f, VarStringField):
-                raws.append(f.store_raw(values.get(f.name, ""), manager))
+                value = values.get(f.name)
+                texts.append((f, "" if value is None else str(value)))
+                raws.append(NULL_ADDRESS)
             elif isinstance(f, CharField):
                 data = str(values.get(f.name, "")).encode("utf-8")
                 if len(data) > f.width:
@@ -141,7 +121,22 @@ class SlotLayout:
                 raws.append(data)
             else:
                 raws.append(f.to_raw(values.get(f.name, f.default)))
-        self._full_struct.pack_into(buf, slot_off + SLOT_HEADER_SIZE, *raws)
+        return bytearray(self._full_struct.pack(*raws)), texts
+
+    def store_row(
+        self,
+        buf,
+        slot_off: int,
+        encoded: Tuple[bytearray, List[Tuple[VarStringField, str]]],
+        manager: "MemoryManager",
+    ) -> None:
+        """Intern an :meth:`encode_row` result's strings and write the row."""
+        body, texts = encoded
+        for f, text in texts:
+            f._struct.pack_into(
+                body, f.offset - SLOT_HEADER_SIZE, f.store_raw(text, manager)
+            )
+        buf[slot_off + SLOT_HEADER_SIZE : slot_off + self.slot_size] = body
 
     # ------------------------------------------------------------------
     # Row writing

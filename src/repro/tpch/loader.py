@@ -16,6 +16,7 @@ Given one :class:`~repro.tpch.datagen.TpchData`, these helpers build
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Dict, Optional
 
 from repro.core.collection import Collection
@@ -25,6 +26,10 @@ from repro.memory.manager import MemoryManager
 from repro.rdbms.table import ColumnTable
 from repro.tpch import schema as tpch_schema
 from repro.tpch.datagen import TpchData
+
+
+#: Rows per add_many call for tables whose handles the loader drops.
+_LOAD_BATCH = 4096
 
 
 def load_smc(
@@ -54,45 +59,62 @@ def load_smc(
         for name in tpch_schema.TABLES
     }
 
-    regions = {
-        row["regionkey"]: collections["region"].add(**row) for row in data.region
-    }
-    nations = {}
-    for row in data.nation:
-        nations[row["nationkey"]] = collections["nation"].add(
-            region=regions[row["regionkey"]], **row
-        )
-    suppliers = {}
-    for row in data.supplier:
-        suppliers[row["suppkey"]] = collections["supplier"].add(
-            nation=nations[row["nationkey"]], **row
-        )
-    customers = {}
-    for row in data.customer:
-        customers[row["custkey"]] = collections["customer"].add(
-            nation=nations[row["nationkey"]], **row
-        )
-    parts = {}
-    for row in data.part:
-        parts[row["partkey"]] = collections["part"].add(**row)
-    for row in data.partsupp:
-        collections["partsupp"].add(
-            part=parts[row["partkey"]],
-            supplier=suppliers[row["suppkey"]],
-            **row,
-        )
-    orders = {}
-    for row in data.orders:
-        orders[row["orderkey"]] = collections["orders"].add(
-            customer=customers[row["custkey"]], **row
-        )
-    for row in data.lineitem:
-        collections["lineitem"].add(
-            order=orders[row["orderkey"]],
-            part=parts[row["partkey"]],
-            supplier=suppliers[row["suppkey"]],
-            **row,
-        )
+    # One add_many per table, in foreign-key order so every reference
+    # target exists.  Rows with their references are built lazily:
+    # columnar collections take them a chunk at a time.
+    def add_all(name, rows, key=None):
+        coll = collections[name]
+        if key is None:
+            # Nothing references these rows: drop each batch's handles
+            # before the next, so a big table's handles never pile up.
+            rows = iter(rows)
+            while coll.add_many(islice(rows, _LOAD_BATCH)):
+                pass
+            return None
+        handles = coll.add_many(rows)
+        return {row[key]: handle for row, handle in zip(data.table(name), handles)}
+
+    regions = add_all("region", data.region, "regionkey")
+    nations = add_all(
+        "nation",
+        (dict(row, region=regions[row["regionkey"]]) for row in data.nation),
+        "nationkey",
+    )
+    suppliers = add_all(
+        "supplier",
+        (dict(row, nation=nations[row["nationkey"]]) for row in data.supplier),
+        "suppkey",
+    )
+    customers = add_all(
+        "customer",
+        (dict(row, nation=nations[row["nationkey"]]) for row in data.customer),
+        "custkey",
+    )
+    parts = add_all("part", data.part, "partkey")
+    add_all(
+        "partsupp",
+        (
+            dict(row, part=parts[row["partkey"]], supplier=suppliers[row["suppkey"]])
+            for row in data.partsupp
+        ),
+    )
+    orders = add_all(
+        "orders",
+        (dict(row, customer=customers[row["custkey"]]) for row in data.orders),
+        "orderkey",
+    )
+    add_all(
+        "lineitem",
+        (
+            dict(
+                row,
+                order=orders[row["orderkey"]],
+                part=parts[row["partkey"]],
+                supplier=suppliers[row["suppkey"]],
+            )
+            for row in data.lineitem
+        ),
+    )
 
     collections["_manager"] = manager
     return collections

@@ -94,6 +94,24 @@ def test_varstring_columns(manager):
     assert manager.strings.bytes_in_use == 0
 
 
+@pytest.mark.parametrize("string_dict", [True, False])
+def test_remove_where_releases_column_strings(string_dict):
+    from repro.memory.manager import MemoryManager
+
+    m = MemoryManager(string_dict=string_dict)
+    notes = ColumnarCollection(TNote, manager=m)
+    notes.add(text="keep", stars=5)
+    heap = m.strings.bytes_in_use
+    header = bytes(notes.blocks()[0].buf[:64])
+    for i in range(4):
+        notes.add(text=f"gone{i}", stars=1)
+    assert notes.remove_where(TNote.stars < 3) == 4
+    assert [n.text for n in notes] == ["keep"]
+    assert bytes(notes.blocks()[0].buf[:64]) == header  # block header intact
+    assert m.strings.bytes_in_use == heap
+    m.close()
+
+
 def test_compaction_not_supported(persons):
     with pytest.raises(NotImplementedError):
         persons.compact()

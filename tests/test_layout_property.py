@@ -120,7 +120,8 @@ def test_template_and_full_pack_agree_with_write_new(data):
             a = bytearray(layout.slot_size)
             layout.write_new(a, 0, dict(row), manager)
             b = bytearray(layout.slot_size)
-            layout.pack_full_row(b, 0, dict(row), manager, lambda f, v: None)
+            encoded = layout.encode_row(dict(row), lambda f, v: None)
+            layout.store_row(b, 0, encoded, manager)
             # Variable strings allocate separate heap records, so compare
             # decoded rows rather than raw bytes.
             assert layout.read_row(a, 0, manager) == layout.read_row(
